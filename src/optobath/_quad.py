@@ -100,8 +100,8 @@ def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain"
     if p.g_c == 0.0 and p.gamma_m == 0.0:
         return 0.0
     hi = frequency_cutoff(p) if upper is None else upper
-    edges = [0.0] + [x for x in breakpoints(p) if x < hi] + [hi]
     inner = breakpoints(p)
+    edges = [0.0] + [x for x in inner if x < hi] + [hi]
     total = 0.0
     err = 0.0
     for lo, up in zip(edges[:-1], edges[1:]):

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,12 +18,10 @@ import numpy as np
 from . import __version__
 from .msi import g_a_from_hardware_block
 from .params import SystemParams
-from .rates import RateTable, gamma_rates, occupation, occupation_with_loss, NonEquilibriumError
-from .spectrum import BathSpectrum, beta_eff, chi_q_inv, compute_spectrum, g_c_max, j_eff
+from .rates import compute_rates
+from .spectrum import BathSpectrum, compute_spectrum, g_c_max
 from .stability import stability_map
 from .validate import fig1_bare, fig1_cooled, run_checks
-
-SQRT3 = math.sqrt(3.0)
 
 
 class ConfigError(Exception):
@@ -80,7 +77,8 @@ def _add_param_flags(parser):
 def _add_output_flags(parser):
     parser.add_argument("--out", "-o", metavar="PATH", help="output file (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
 
 
 def _add_grid_flags(parser, prefix="grid"):
@@ -158,36 +156,16 @@ def cmd_spectrum(args) -> int:
         _emit(_family_spectrum_csv(fig3_family(), grid), args.out)
         return 0
     p = build_params(args)
-    if p.gamma_m == 0.0 and p.g_c == 0.0:
-        raise ConfigError("parameters define no bath: set gamma_m > 0 or g_c > 0")
-    if args.threads > 1:
-        # Per-point evaluation through a worker pool; assembly stays in grid
-        # order because executor.map preserves input order.
-        def point(w):
-            inv = abs(chi_q_inv(w, p))
-            if inv < 1e-300:
-                return math.nan, math.nan
-            return j_eff(w, p), beta_eff(w, p)
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(point, grid))
-        spec = BathSpectrum(
-            grid=grid,
-            j_eff=np.array([r[0] for r in rows]),
-            beta_eff=np.array([r[1] for r in rows]),
-            flags=["pole" if math.isnan(r[0]) else ("nonthermal" if r[1] <= 0 else "")
-                   for r in rows],
-        )
-    else:
+    try:
         spec = compute_spectrum(p, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _emit(spec.to_csv() if args.format == "csv" else spec.to_json() + "\n", args.out)
     return 0
 
 
 def cmd_rates(args) -> int:
     p = build_params(args)
-    if p.gamma_m == 0.0 and p.g_c == 0.0:
-        raise ConfigError("parameters define no bath: set gamma_m > 0 or g_c > 0")
     if (args.omega_a is None) != (args.nu_b is None):
         raise ConfigError("--omega-a and --nu-b must be given together")
     if args.omega_a is not None:
@@ -197,31 +175,10 @@ def cmd_rates(args) -> int:
         grid = np.array([omega])
     else:
         grid = make_grid(args.grid_min, args.grid_max, args.grid_count, args.grid_scale)
-
-    def point(w):
-        gp, gm = gamma_rates(w, p)
-        try:
-            nb = occupation(w, p)
-        except NonEquilibriumError:
-            nb = math.nan
-        try:
-            nbl = occupation_with_loss(w, p)
-        except NonEquilibriumError:
-            nbl = math.nan
-        return gp, gm, nb, nbl
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(point, grid))
-    else:
-        rows = [point(w) for w in grid]
-    table = RateTable(
-        omega=grid,
-        gamma_plus=np.array([r[0] for r in rows]),
-        gamma_minus=np.array([r[1] for r in rows]),
-        n_bar=np.array([r[2] for r in rows]),
-        n_bar_lossy=np.array([r[3] for r in rows]),
-    )
+    try:
+        table = compute_rates(p, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _emit(table.to_csv() if args.format == "csv" else table.to_json() + "\n", args.out)
     return 0
 

@@ -10,6 +10,7 @@ user input reduces to the two coupling frequencies g_a, g_c.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -40,6 +41,12 @@ class SystemParams:
     cutoff: float = 1e3      # Ohmic exponential cutoff, > 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
         positive = ("omega_m", "kappa_b", "kappa_c", "beta", "cutoff")
         nonneg = ("gamma_m", "kappa_a", "g_a", "g_c")
         for name in positive:
@@ -51,12 +58,16 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemParams":
-        """Build from a flat key-value mapping; unknown keys are an error."""
+        """Build from a flat key-value mapping; unknown keys are an error.
+
+        Values must be real numbers: JSON booleans and strings are rejected
+        rather than coerced.
+        """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown parameter(s): {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -67,8 +78,11 @@ def q_zpf_squared(omega_m: float = 1.0) -> float:
     return 1.0 / (2.0 * omega_m)
 
 
-def thermal_occupation(omega: float, beta: float):
-    """Bose occupation 1/(exp(beta*omega) - 1) of the mechanical environment."""
+def thermal_occupation(omega, beta):
+    """Bose occupation 1/(exp(beta*omega) - 1), for floats or arrays.
+
+    Used for the mechanical environment and, at beta_eff, for the photons.
+    """
     return 1.0 / np.expm1(beta * omega)
 
 

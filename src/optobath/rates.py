@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, q_zpf_squared
+from .params import SystemParams, q_zpf_squared, thermal_occupation
 from .spectrum import beta_eff, default_grid, j_eff
 
 
@@ -24,8 +24,21 @@ class NonEquilibriumError(ValueError):
     """No equilibrium occupation exists (gain regime or loss-dominated balance)."""
 
 
-def _bose(x):
-    return 1.0 / np.expm1(x)
+def _noise_sides(omega, p: SystemParams):
+    """(S(-Omega), S(+Omega), beta_eff, n_eff) at Omega > 0, for a float or an array.
+
+    The one evaluation path of every rate quantity: j_eff and beta_eff are
+    evaluated once and n_eff = 1/expm1(Omega*beta_eff) is the raw Bose
+    factor, negative in the gain regime.
+    """
+    j = j_eff(omega, p)
+    be = beta_eff(omega, p)
+    n = thermal_occupation(omega, be)
+    return 2.0 * j * n, 2.0 * j * (n + 1.0), be, n
+
+
+def _rate_prefactor(p: SystemParams) -> float:
+    return p.g_a**2 / q_zpf_squared(p.omega_m)
 
 
 def s_qq(omega: float, p: SystemParams) -> float:
@@ -38,10 +51,8 @@ def s_qq(omega: float, p: SystemParams) -> float:
     """
     if omega == 0:
         raise ValueError("s_qq requires omega != 0")
-    w = abs(omega)
-    j = j_eff(w, p)
-    n = _bose(w * beta_eff(w, p))
-    return 2.0 * j * (n + 1.0) if omega > 0 else 2.0 * j * n
+    absorption, emission, _, _ = _noise_sides(abs(omega), p)
+    return float(emission if omega > 0 else absorption)
 
 
 def gamma_rates(omega: float, p: SystemParams) -> tuple[float, float]:
@@ -53,8 +64,9 @@ def gamma_rates(omega: float, p: SystemParams) -> tuple[float, float]:
     """
     if omega <= 0:
         raise ValueError("gamma_rates requires Omega > 0")
-    pref = p.g_a**2 / q_zpf_squared(p.omega_m)
-    return pref * s_qq(-omega, p), pref * s_qq(omega, p)
+    absorption, emission, _, _ = _noise_sides(omega, p)
+    pref = _rate_prefactor(p)
+    return float(pref * absorption), float(pref * emission)
 
 
 def fgr_rates(n: int, omega: float, p: SystemParams) -> tuple[float, float]:
@@ -76,12 +88,12 @@ def occupation(omega: float, p: SystemParams, *, allow_gain: bool = False) -> fl
     """
     if omega <= 0:
         raise ValueError("occupation requires Omega > 0")
-    be = beta_eff(omega, p)
+    _, _, be, n = _noise_sides(omega, p)
     if be <= 0 and not allow_gain:
         raise NonEquilibriumError(
             f"beta_eff({omega:g}) = {be:g} <= 0: gain regime, no equilibrium occupation"
         )
-    return float(_bose(omega * be))
+    return float(n)
 
 
 def occupation_with_loss(omega: float, p: SystemParams) -> float:
@@ -150,23 +162,20 @@ def compute_rates(p: SystemParams, grid=None) -> RateTable:
     """Tabulate rates and occupations over an Omega grid.
 
     Gain-regime or loss-dominated points get NaN occupations rather than
-    silently negative ones; the rates themselves are always reported.
+    silently negative ones; the rates themselves are always reported. Each
+    occupation column is NaN exactly where its scalar function raises
+    NonEquilibriumError, so n_bar_lossy can exist where n_bar does not.
     """
     grid = default_grid(p) if grid is None else np.asarray(grid, dtype=float)
     if np.any(grid <= 0):
         raise ValueError("rate grid requires Omega > 0")
-    gp = np.empty_like(grid)
-    gm = np.empty_like(grid)
-    nb = np.full_like(grid, np.nan)
-    nbl = np.full_like(grid, np.nan)
-    for i, w in enumerate(grid):
-        gp[i], gm[i] = gamma_rates(w, p)
-        try:
-            nb[i] = occupation(w, p)
-        except NonEquilibriumError:
-            continue
-        try:
-            nbl[i] = occupation_with_loss(w, p)
-        except NonEquilibriumError:
-            pass
+    absorption, emission, be, n = _noise_sides(grid, p)
+    pref = _rate_prefactor(p)
+    gp, gm = pref * absorption, pref * emission
+    nb = np.where(be > 0, n, np.nan)
+    if p.kappa_a == 0.0:
+        nbl = nb.copy()
+    else:
+        den = gm + p.kappa_a - gp
+        nbl = np.divide(gp, den, out=np.full_like(grid, np.nan), where=den > 0)
     return RateTable(omega=grid, gamma_plus=gp, gamma_minus=gm, n_bar=nb, n_bar_lossy=nbl)

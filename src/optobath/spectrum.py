@@ -21,6 +21,7 @@ import numpy as np
 from ._quad import spectral_integral
 from .params import SystemParams, thermal_occupation
 from .response import (
+    _POLE_EPS,
     PoleError,
     chi_q_inv,
     lorentzian,
@@ -30,8 +31,6 @@ from .response import (
 FLAG_OK = ""
 FLAG_POLE = "pole"
 FLAG_NONTHERMAL = "nonthermal"
-
-_POLE_EPS = 1e-300
 
 
 class DivergenceError(ArithmeticError):
@@ -301,10 +300,7 @@ def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:
     b = np.full_like(grid, np.nan)
     ok = ~pole
     if np.any(ok):
-        mod2 = 1.0 / np.abs(inv[ok]) ** 2
-        j[ok] = mod2 * (
-            ohmic_j(grid[ok], p) + _coupling_weight(p) * lorentzian_asymmetry(grid[ok], p)
-        )
+        j[ok] = j_eff(grid[ok], p)
         b[ok] = beta_eff(grid[ok], p)
     flags = [
         FLAG_POLE if pole[i] else (FLAG_NONTHERMAL if b[i] <= 0 else FLAG_OK)

@@ -16,9 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import SystemParams
-
-SQRT3 = math.sqrt(3.0)
+from .params import SQRT3, SystemParams
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -29,30 +27,40 @@ MARGINAL = "marginal"
 MARGIN = 1e-9
 
 
+def drift_matrices(c) -> np.ndarray:
+    """Drift matrices over (Q, P, X_c, Y_c, X_a, Y_a), shape (..., 6, 6).
+
+    ``c`` maps SystemParams field names to floats or to arrays that
+    broadcast together; the leading shape is their broadcast shape. The
+    4x4 matrix of the cooled mechanics alone is the top-left block.
+    """
+    om, gm, kc, dc, gc, ga, da = (
+        np.asarray(c[k], dtype=float)
+        for k in ("omega_m", "gamma_m", "kappa_c", "delta_c", "g_c", "g_a", "delta_a")
+    )
+    m = np.zeros(np.broadcast_shapes(om.shape, gm.shape, kc.shape, dc.shape, gc.shape,
+                                     ga.shape, da.shape) + (6, 6))
+    m[..., 0, 1] = om
+    m[..., 1, 0] = -om
+    m[..., 1, 1] = -gm
+    m[..., 1, 2] = m[..., 3, 0] = 2.0 * gc
+    m[..., 1, 4] = m[..., 5, 0] = 2.0 * ga
+    m[..., 2, 2] = m[..., 3, 3] = -kc / 2.0
+    m[..., 2, 3] = -dc
+    m[..., 3, 2] = dc
+    m[..., 4, 5] = -da
+    m[..., 5, 4] = da
+    return m
+
+
 def drift_matrix_qc(p: SystemParams) -> np.ndarray:
     """4x4 drift matrix over (Q, P, X_c, Y_c) for the cooled mechanics alone."""
-    return np.array(
-        [
-            [0.0, p.omega_m, 0.0, 0.0],
-            [-p.omega_m, -p.gamma_m, 2.0 * p.g_c, 0.0],
-            [0.0, 0.0, -p.kappa_c / 2.0, -p.delta_c],
-            [2.0 * p.g_c, 0.0, p.delta_c, -p.kappa_c / 2.0],
-        ]
-    )
+    return drift_matrices(vars(p))[:4, :4].copy()
 
 
 def drift_matrix_full(p: SystemParams) -> np.ndarray:
     """6x6 drift matrix over (Q, P, X_c, Y_c, X_a, Y_a) with the probe coupled."""
-    return np.array(
-        [
-            [0.0, p.omega_m, 0.0, 0.0, 0.0, 0.0],
-            [-p.omega_m, -p.gamma_m, 2.0 * p.g_c, 0.0, 2.0 * p.g_a, 0.0],
-            [0.0, 0.0, -p.kappa_c / 2.0, -p.delta_c, 0.0, 0.0],
-            [2.0 * p.g_c, 0.0, p.delta_c, -p.kappa_c / 2.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, -p.delta_a],
-            [2.0 * p.g_a, 0.0, 0.0, 0.0, p.delta_a, 0.0],
-        ]
-    )
+    return drift_matrices(vars(p))
 
 
 def routh_hurwitz_qc(p: SystemParams) -> tuple[float, bool]:
@@ -68,12 +76,29 @@ def routh_hurwitz_qc(p: SystemParams) -> tuple[float, bool]:
     return value, value > 0
 
 
+def _at_optimal(c, rtol: float = 1e-9):
+    """Elementwise at_optimal_detuning over a field mapping of floats or arrays."""
+    dc, kc = c["delta_c"], c["kappa_c"]
+    return (dc < 0) & (np.abs(4.0 * dc * dc - 3.0 * (kc * kc)) <= rtol * 3.0 * (kc * kc))
+
+
 def at_optimal_detuning(p: SystemParams, rtol: float = 1e-9) -> bool:
     """True when 4*delta_c^2 = 3*kappa_c^2 within rtol (red branch)."""
-    return (
-        p.delta_c < 0
-        and abs(4.0 * p.delta_c**2 - 3.0 * p.kappa_c**2) <= rtol * 3.0 * p.kappa_c**2
-    )
+    return bool(_at_optimal(vars(p), rtol))
+
+
+def analytic_criteria(c):
+    """(s1, s2, s3, verdict) of full_criteria over a field mapping of floats or arrays.
+
+    Elementwise and unchecked: the caller restricts the result to where the
+    criteria apply (optimal detuning, gamma_m = 0).
+    """
+    om, kc, da, gc, ga = (c[k] for k in ("omega_m", "kappa_c", "delta_a", "g_c", "g_a"))
+    gc2 = gc * gc
+    s1 = om * kc - 2.0 * SQRT3 * gc2
+    s2 = -da
+    s3 = 2.0 * SQRT3 * da * gc2 - 4.0 * (ga * ga) * kc - da * kc * om
+    return s1, s2, s3, (s1 > 0) & (s2 > 0) & (s3 > 0)
 
 
 def full_criteria(p: SystemParams) -> tuple[float, float, float, bool]:
@@ -87,28 +112,30 @@ def full_criteria(p: SystemParams) -> tuple[float, float, float, bool]:
     """
     if not at_optimal_detuning(p):
         raise ValueError("analytic criteria require optimal detuning 4*delta_c^2 = 3*kappa_c^2")
-    s1 = p.omega_m * p.kappa_c - 2.0 * SQRT3 * p.g_c**2
-    s2 = -p.delta_a
-    s3 = (
-        2.0 * SQRT3 * p.delta_a * p.g_c**2
-        - 4.0 * p.g_a**2 * p.kappa_c
-        - p.delta_a * p.kappa_c * p.omega_m
-    )
-    return s1, s2, s3, (s1 > 0 and s2 > 0 and s3 > 0)
+    return analytic_criteria(vars(p))
 
 
-def eigen_stable(m: np.ndarray) -> tuple[float, str]:
-    """Spectral abscissa of a real drift matrix and the three-way verdict."""
+def _abscissae(m):
+    """Spectral abscissae and eigenvalues of one real drift matrix or a stack of them."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("drift matrix must be finite")
     eigs = np.linalg.eigvals(m)
     if not np.all(np.isfinite(eigs)):
         raise ArithmeticError("eigenvalue solver failed to converge")
-    abscissa = float(np.max(eigs.real))
-    if abs(abscissa) < MARGIN:
-        return abscissa, MARGINAL
-    return abscissa, STABLE if abscissa < 0 else UNSTABLE
+    return eigs.real.max(axis=-1), eigs
+
+
+def _verdicts(abscissa):
+    """Three-way verdicts (object array of str) for spectral abscissae."""
+    return np.where(np.abs(abscissa) < MARGIN, MARGINAL,
+                    np.where(abscissa < 0, STABLE, UNSTABLE)).astype(object)
+
+
+def eigen_stable(m: np.ndarray) -> tuple[float, str]:
+    """Spectral abscissa of a real drift matrix and the three-way verdict."""
+    abscissa, _ = _abscissae(m)
+    return float(abscissa), _verdicts(abscissa).item()
 
 
 @dataclass
@@ -132,7 +159,7 @@ def stability_report(p: SystemParams, *, full: bool = True) -> StabilityReport:
     (off-optimal detuning for s1..s3, blue detuning for the 4x4 criterion).
     """
     m = drift_matrix_full(p) if full else drift_matrix_qc(p)
-    abscissa, verdict = eigen_stable(m)
+    abscissa, eigs = _abscissae(m)
     s1 = s2 = s3 = None
     if at_optimal_detuning(p):
         s1, s2, s3, _ = full_criteria(p)
@@ -145,9 +172,9 @@ def stability_report(p: SystemParams, *, full: bool = True) -> StabilityReport:
         s3=s3,
         rh_value=rh_value,
         rh_stable=rh_ok,
-        eig_stable=verdict,
-        spectral_abscissa=abscissa,
-        eigenvalues=np.linalg.eigvals(np.asarray(m, dtype=float)),
+        eig_stable=_verdicts(abscissa).item(),
+        spectral_abscissa=float(abscissa),
+        eigenvalues=eigs,
     )
 
 
@@ -241,30 +268,27 @@ def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> St
     if len(values1) == 0 or len(values2) == 0:
         raise ValueError("sweep grids must be non-empty")
 
-    n1, n2 = len(values1), len(values2)
-    s1 = np.full((n1, n2), np.nan)
-    s2 = np.full((n1, n2), np.nan)
-    s3 = np.full((n1, n2), np.nan)
-    abscissa = np.empty((n1, n2))
-    analytic = np.empty((n1, n2), dtype=object)
-    eigen = np.empty((n1, n2), dtype=object)
-    disagree = np.zeros((n1, n2), dtype=bool)
+    for var, values in {var1: values1, var2: values2}.items():
+        for v in values:
+            replace(p, **{var: float(v)})  # SystemParams rejects invalid swept values
 
-    for i, v1 in enumerate(values1):
-        for k, v2 in enumerate(values2):
-            cell = replace(p, **{var1: float(v1), var2: float(v2)})
-            m = drift_matrix_full(cell) if cell.g_a > 0 else drift_matrix_qc(cell)
-            a, verdict = eigen_stable(m)
-            abscissa[i, k] = a
-            eigen[i, k] = verdict
-            if at_optimal_detuning(cell) and cell.gamma_m == 0.0:
-                c1, c2, c3, ok = full_criteria(cell)
-                s1[i, k], s2[i, k], s3[i, k] = c1, c2, c3
-                analytic[i, k] = ok
-                if verdict != MARGINAL:
-                    disagree[i, k] = ok != (verdict == STABLE)
-            else:
-                analytic[i, k] = None
+    shape = (len(values1), len(values2))
+    grid1, grid2 = np.meshgrid(values1, values2, indexing="ij")
+    cells = {name: np.broadcast_to(value, shape)
+             for name, value in {**vars(p), var1: grid1, var2: grid2}.items()}
+    mats = drift_matrices(cells)
+    probe = cells["g_a"] > 0
+    abscissa = np.empty(shape)
+    abscissa[probe] = _abscissae(mats[probe])[0]
+    abscissa[~probe] = _abscissae(mats[~probe][:, :4, :4])[0]
+    eigen = _verdicts(abscissa)
+
+    applies = _at_optimal(cells) & (cells["gamma_m"] == 0.0)
+    c1, c2, c3, ok = analytic_criteria(cells)
+    s1, s2, s3 = (np.where(applies, c, np.nan) for c in (c1, c2, c3))
+    analytic = np.full(shape, None, dtype=object)
+    analytic[applies] = ok[applies]
+    disagree = applies & (eigen != MARGINAL) & (ok != (eigen == STABLE))
     return StabilityMap(
         var1=var1, values1=values1, var2=var2, values2=values2,
         s1=s1, s2=s2, s3=s3, abscissa=abscissa,

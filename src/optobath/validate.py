@@ -15,9 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import correlation, rates, spectrum, stability
-from .params import SystemParams, optimal_detuning
-
-SQRT3 = math.sqrt(3.0)
+from .params import SQRT3, SystemParams
 
 
 def fig1_cooled() -> SystemParams:
@@ -128,14 +126,9 @@ def check_stability_oracle(p: SystemParams | None = None, *, seed: int = 2024080
     g_c = rng.uniform(0.0, 0.8, n_draws)
     g_a = rng.uniform(0.0, 0.6, n_draws)
     d_a = rng.uniform(-5.0, -0.1, n_draws)
-    mats = np.empty((n_draws, 6, 6))
-    verdicts = np.empty(n_draws, dtype=bool)
-    for i in range(n_draws):
-        cell = replace(base, g_c=g_c[i], g_a=g_a[i], delta_a=d_a[i])
-        mats[i] = stability.drift_matrix_full(cell)
-        *_, ok = stability.full_criteria(cell)
-        verdicts[i] = ok
-    abscissa = np.max(np.linalg.eigvals(mats).real, axis=1)
+    draws = {**vars(base), "g_c": g_c, "g_a": g_a, "delta_a": d_a}
+    *_, verdicts = stability.analytic_criteria(draws)
+    abscissa = np.max(np.linalg.eigvals(stability.drift_matrices(draws)).real, axis=1)
     outside = np.abs(abscissa) > stability.MARGIN
     disagreements = int(np.sum(verdicts[outside] != (abscissa[outside] < 0)))
 
@@ -272,9 +265,7 @@ def run_checks(p: SystemParams | None = None, *, seed: int = 20240801) -> dict:
     """Run every registered check and assemble the machine-readable report."""
     results = []
     for check in CHECKS:
-        if check is check_stability_oracle:
-            results.append(check(p, seed=seed))
-        elif check is check_variance_consistency:
+        if check in (check_stability_oracle, check_variance_consistency):
             results.append(check(p, seed=seed))
         else:
             results.append(check(p))

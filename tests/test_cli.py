@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from optobath.cli import main
+from optobath import compute_rates
+from optobath.cli import main, make_grid
+from optobath.validate import fig1_cooled
 
 SQRT3 = math.sqrt(3.0)
 
@@ -103,6 +109,20 @@ class TestRatesCommand:
         assert "omega-a" in capsys.readouterr().err
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(sign=st.sampled_from([-1.0, 1.0]), detuning=st.floats(0.5, 1.5),
+           kappa_a=st.floats(0.0, 1.0))
+    @example(sign=1.0, detuning=1.0, kappa_a=0.5)
+    def test_rows_match_library(self, sign, detuning, kappa_a):
+        p = replace(fig1_cooled(), delta_c=sign * detuning, kappa_a=kappa_a)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_cli("rates", "--preset", "fig1-cooled", "--delta-c", repr(p.delta_c),
+                           "--kappa-a", repr(kappa_a), "--grid-count", "40") == 0
+        table = compute_rates(p, make_grid(1e-4, 4.0, 40, "log"))
+        assert out.getvalue().splitlines() == table.to_csv().splitlines()
+
+
 class TestStabilityCommand:
     def test_boundary_raster(self, tmp_path):
         out = tmp_path / "map.csv"
@@ -176,6 +196,21 @@ class TestExitCodes:
     def test_bad_sweep_order(self):
         assert run_cli("spectrum", "--preset", "fig1-cooled", "--grid-min", "2",
                        "--grid-max", "1") == 2
+
+    @pytest.mark.parametrize("flags", [("--beta", "inf"), ("--kappa-c", "nan"),
+                                       ("--delta-a=-inf",)])
+    def test_non_finite_parameter_is_config_error(self, flags, capsys):
+        assert run_cli("spectrum", "--preset", "fig1-cooled", *flags) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_invalid_swept_value_is_config_error(self, capsys):
+        assert run_cli("stability", "--preset", "fig1-cooled", "--var2", "kappa_c",
+                       "--min2", "0", "--count1", "3", "--count2", "3") == 2
+        assert "kappa_c" in capsys.readouterr().err
+
+    def test_nonpositive_lin_grid_is_config_error(self):
+        assert run_cli("rates", "--preset", "fig1-cooled", "--grid-scale", "lin",
+                       "--grid-min", "0", "--grid-max", "1") == 2
 
     def test_no_bath_is_config_error(self):
         assert run_cli("spectrum", "--gc", "0") == 2

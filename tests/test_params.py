@@ -34,6 +34,14 @@ class TestSystemParams:
             ("kappa_a", -0.1),
             ("g_a", -0.2),
             ("g_c", -0.2),
+            ("kappa_c", math.inf),
+            ("beta", math.inf),
+            ("cutoff", math.inf),
+            ("delta_a", -math.inf),
+            ("g_c", math.nan),
+            ("g_c", True),
+            ("beta", "0.3"),
+            ("delta_c", None),
         ],
     )
     def test_invariants_rejected(self, field, value):
@@ -47,6 +55,17 @@ class TestSystemParams:
 
     def test_dict_round_trip(self, fig1):
         assert SystemParams.from_dict(fig1.to_dict()) == fig1
+
+    @pytest.mark.parametrize("data", [{"g_c": True}, {"beta": "0.3"},
+                                      {"kappa_c": math.inf}, {"delta_a": None}])
+    def test_from_dict_requires_finite_numbers(self, data):
+        with pytest.raises(ValueError):
+            SystemParams.from_dict(data)
+
+    def test_from_dict_accepts_ints_as_floats(self):
+        p = SystemParams.from_dict({"omega_m": 2, "beta": 1})
+        assert p.omega_m == 2.0 and isinstance(p.omega_m, float)
+        assert p.beta == 1.0 and isinstance(p.beta, float)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter"):

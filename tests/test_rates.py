@@ -176,3 +176,28 @@ class TestRateTable:
         lossy = replace(fig1, kappa_a=0.05)
         table = compute_rates(lossy, default_grid(fig1, n=20))
         assert np.all(table.n_bar_lossy < table.n_bar)
+
+
+@pytest.mark.parametrize("delta_c,kappa_a", [(-1.0, 0.0), (-1.0, 0.3), (1.0, 0.0),
+                                             (1.0, 0.5), (0.6, 1.0)])
+def test_compute_rates_matches_pointwise_route(fig1, delta_c, kappa_a):
+    """Each row equals the scalar functions, NaN exactly where they raise.
+
+    The array and scalar evaluations of j_eff and beta_eff may differ by an
+    ulp; the loss balance cancels up to 2*n_bar + 1 ~ 1e4 of them on this
+    grid, which rtol = 1e-10 covers.
+    """
+    p = replace(fig1, delta_c=delta_c, kappa_a=kappa_a)
+    grid = default_grid(p, n=60)
+    ref = np.full((len(grid), 4), np.nan)
+    for i, w in enumerate(grid):
+        ref[i, :2] = gamma_rates(w, p)
+        for col, fn in ((2, occupation), (3, occupation_with_loss)):
+            try:
+                ref[i, col] = fn(w, p)
+            except NonEquilibriumError:
+                pass
+    table = compute_rates(p, grid)
+    got = np.column_stack([table.gamma_plus, table.gamma_minus, table.n_bar,
+                           table.n_bar_lossy])
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0, equal_nan=True)

@@ -19,6 +19,8 @@ from optobath import (
     stability_map,
     stability_report,
 )
+from optobath.stability import at_optimal_detuning
+from optobath.validate import fig1_cooled
 
 SQRT3 = math.sqrt(3.0)
 
@@ -278,3 +280,85 @@ class TestStabilityMap:
     def test_rejects_unknown_variable(self, fig1_cold):
         with pytest.raises(ValueError):
             stability_map(fig1_cold, "beta", np.array([0.1]), "g_a", np.array([0.1]))
+
+
+def per_cell_map(p, var1, values1, var2, values2):
+    """Reference route for stability_map: one replace() and one matrix per cell."""
+    shape = (len(values1), len(values2))
+    ref = {
+        "s1": np.full(shape, np.nan), "s2": np.full(shape, np.nan),
+        "s3": np.full(shape, np.nan), "abscissa": np.empty(shape),
+        "analytic": np.empty(shape, dtype=object), "eigen": np.empty(shape, dtype=object),
+        "disagree": np.zeros(shape, dtype=bool),
+    }
+    for i, v1 in enumerate(values1):
+        for k, v2 in enumerate(values2):
+            cell = replace(p, **{var1: float(v1), var2: float(v2)})
+            m = drift_matrix_full(cell) if cell.g_a > 0 else drift_matrix_qc(cell)
+            a, verdict = eigen_stable(m)
+            ref["abscissa"][i, k] = a
+            ref["eigen"][i, k] = verdict
+            if at_optimal_detuning(cell) and cell.gamma_m == 0.0:
+                c1, c2, c3, ok = full_criteria(cell)
+                ref["s1"][i, k], ref["s2"][i, k], ref["s3"][i, k] = c1, c2, c3
+                ref["analytic"][i, k] = ok
+                if verdict != MARGINAL:
+                    ref["disagree"][i, k] = ok != (verdict == STABLE)
+            else:
+                ref["analytic"][i, k] = None
+    return ref
+
+
+def _sweep_values(var, rng, base):
+    """Random values of one swept parameter, with its special points mixed in."""
+    n = int(rng.integers(2, 9))
+    draws = {
+        "g_c": lambda: np.append(rng.uniform(0.0, 0.8, n), [0.0, g_c_max(base)]),
+        "g_a": lambda: np.append(rng.uniform(0.0, 0.6, n), 0.0),
+        "delta_a": lambda: rng.uniform(-5.0, -0.1, n),
+        "delta_c": lambda: np.append(rng.uniform(-1.5, 1.0, n), base.delta_c),
+        "kappa_c": lambda: np.append(rng.uniform(0.3, 2.0, n), base.kappa_c),
+        "gamma_m": lambda: np.append(rng.uniform(0.0, 0.1, n), 0.0),
+    }
+    return rng.permutation(draws[var]())
+
+
+SWEPT_PAIRS = [("g_c", "g_a"), ("g_c", "delta_a"), ("delta_c", "kappa_c"),
+               ("gamma_m", "g_a"), ("kappa_c", "g_c"), ("delta_a", "gamma_m"),
+               ("g_a", "delta_c"), ("g_c", "g_c")]
+
+
+def assert_map_matches_reference(p, var1, values1, var2, values2):
+    smap = stability_map(p, var1, values1, var2, values2)
+    ref = per_cell_map(p, var1, values1, var2, values2)
+    for name in ("s1", "s2", "s3", "abscissa", "eigen", "disagree"):
+        np.testing.assert_array_equal(getattr(smap, name), ref[name], err_msg=name)
+    assert smap.analytic.tolist() == ref["analytic"].tolist()
+    return smap
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(SWEPT_PAIRS), seed=st.integers(0, 2**32 - 1))
+def test_stability_map_matches_per_cell_route(pair, seed):
+    base = replace(fig1_cooled(), gamma_m=0.0)
+    rng = np.random.default_rng(seed)
+    var1, var2 = pair
+    assert_map_matches_reference(base, var1, _sweep_values(var1, rng, base),
+                                 var2, _sweep_values(var2, rng, base))
+
+
+def test_stability_map_matches_per_cell_route_at_special_cells(fig1_cold):
+    smap = assert_map_matches_reference(fig1_cold, "g_c", np.array([0.2, g_c_max(fig1_cold)]),
+                                        "g_a", np.array([0.0, 0.3]))
+    assert smap.eigen[1, 0] == MARGINAL
+    smap = assert_map_matches_reference(fig1_cold, "delta_c",
+                                        np.array([-0.9, fig1_cold.delta_c]),
+                                        "g_a", np.array([0.0, 0.3]))
+    assert smap.analytic[0, 0] is None and smap.analytic[1, 0] is not None
+
+
+@pytest.mark.parametrize("var,value", [("kappa_c", 0.0), ("gamma_m", -1e-3),
+                                       ("g_a", -0.1), ("delta_a", math.inf)])
+def test_invalid_swept_value_rejected(fig1_cold, var, value):
+    with pytest.raises(ValueError):
+        stability_map(fig1_cold, var, np.array([value, 0.5]), "g_c", np.array([0.1]))

@@ -102,6 +102,11 @@ def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain"
     hi = frequency_cutoff(p) if upper is None else upper
     inner = breakpoints(p)
     edges = [0.0] + [x for x in inner if x < hi] + [hi]
+    if kind != "plain" and t * edges[1] >= _OSC_PERIODS * 2.0 * np.pi:
+        # The oscillatory rule samples its segment's ends, and integrands
+        # divided by omega are undefined at 0: the plain rule, which does
+        # not sample ends, takes the first half period.
+        edges.insert(1, np.pi / t)
     total = 0.0
     err = 0.0
     for lo, up in zip(edges[:-1], edges[1:]):

@@ -15,11 +15,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _table
 from .msi import g_a_from_hardware_block
 from .params import SystemParams
 from .rates import compute_rates
-from .spectrum import BathSpectrum, compute_spectrum, g_c_max
+from .spectrum import compute_spectrum, g_c_max
 from .stability import stability_map
 from .validate import fig1_bare, fig1_cooled, run_checks
 
@@ -142,12 +142,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _family_spectrum_csv(members: list[SystemParams], grid: np.ndarray) -> str:
-    lines = ["g_c," + ",".join(BathSpectrum.COLUMNS)]
-    for member in members:
-        spec = compute_spectrum(member, grid)
-        body = spec.to_csv().splitlines()[1:]
-        lines.extend(f"{member.g_c:.12e},{row}" for row in body)
-    return "\n".join(lines) + "\n"
+    """One table: the member's g_c, then its spectrum columns, members stacked."""
+    spectra = [compute_spectrum(member, grid).columns() for member in members]
+    return _table.to_csv({"g_c": np.repeat([member.g_c for member in members], len(grid)),
+                          **{name: np.concatenate([spec[name] for spec in spectra])
+                             for name in spectra[0]}})
 
 
 def cmd_spectrum(args) -> int:

@@ -11,14 +11,13 @@ noise is colored and is validated in the frequency domain instead.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
+from . import _table
 from ._quad import frequency_cutoff, resonance_peak, spectral_integral
 from .params import SystemParams, thermal_occupation
 from .response import chi_q, lorentzian, lorentzian_asymmetry
@@ -110,12 +109,8 @@ class CorrelationSeries:
     tag: str  # thermal | optical | total
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("t", "re", "im", "tag"))
-        for t, v in zip(self.times, self.values):
-            writer.writerow([f"{t:.12e}", f"{v.real:.12e}", f"{v.imag:.12e}", self.tag])
-        return buf.getvalue()
+        return _table.to_csv({"t": self.times, "re": self.values.real,
+                              "im": self.values.imag, "tag": [self.tag] * len(self.times)})
 
 
 def _dense_frequency_grid(p: SystemParams, n: int = 30000) -> np.ndarray:

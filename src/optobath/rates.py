@@ -9,13 +9,11 @@ the drive frequency acts as a chemical potential for the photons.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _table
 from .params import SystemParams, q_zpf_squared, thermal_occupation
 from .spectrum import beta_eff, default_grid, j_eff
 
@@ -127,35 +125,17 @@ class RateTable:
     n_bar: np.ndarray
     n_bar_lossy: np.ndarray
 
-    COLUMNS = ("Omega", "gamma_plus", "gamma_minus", "n_bar", "n_bar_lossy")
+    def columns(self) -> dict:
+        """The table's columns by output name, in output order."""
+        return {"Omega": self.omega, "gamma_plus": self.gamma_plus,
+                "gamma_minus": self.gamma_minus, "n_bar": self.n_bar,
+                "n_bar_lossy": self.n_bar_lossy}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.COLUMNS)
-        for i in range(len(self.omega)):
-            writer.writerow(
-                [
-                    f"{self.omega[i]:.12e}",
-                    f"{self.gamma_plus[i]:.12e}",
-                    f"{self.gamma_minus[i]:.12e}",
-                    f"{self.n_bar[i]:.12e}",
-                    f"{self.n_bar_lossy[i]:.12e}",
-                ]
-            )
-        return buf.getvalue()
+        return _table.to_csv(self.columns())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "Omega": [float(x) for x in self.omega],
-                "gamma_plus": [float(x) for x in self.gamma_plus],
-                "gamma_minus": [float(x) for x in self.gamma_minus],
-                "n_bar": [float(x) for x in self.n_bar],
-                "n_bar_lossy": [float(x) for x in self.n_bar_lossy],
-            },
-            indent=1,
-        )
+        return _table.to_json(self.columns())
 
 
 def compute_rates(p: SystemParams, grid=None) -> RateTable:

@@ -10,14 +10,12 @@ which the low-frequency damping changes sign.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _table
 from ._quad import spectral_integral
 from .params import SystemParams, thermal_occupation
 from .response import (
@@ -31,6 +29,8 @@ from .response import (
 FLAG_OK = ""
 FLAG_POLE = "pole"
 FLAG_NONTHERMAL = "nonthermal"
+
+_TINY = np.finfo(float).tiny
 
 
 class DivergenceError(ArithmeticError):
@@ -77,8 +77,10 @@ def beta_eff(omega, p: SystemParams):
         exp(omega*beta_eff) = (J*(n+1) + w*L(omega)) / (J*n + w*L(-omega)),
     with n the thermal occupation at the mechanical temperature and
     w = pi hbar G_c^2. Evaluated as log1p of the flux imbalance over the
-    downward flux, which stays accurate at omega -> 0. Negative values
-    (population inversion, blue-detuned drive) are returned as data.
+    downward flux, which stays accurate at omega -> 0; where a cold bath
+    makes the downward flux underflow, as the log of the flux ratio.
+    Negative values (population inversion, blue-detuned drive) are returned
+    as data.
     """
     if np.any(np.asarray(omega) <= 0):
         raise ValueError("beta_eff requires omega > 0")
@@ -89,8 +91,18 @@ def beta_eff(omega, p: SystemParams):
     with np.errstate(over="ignore"):
         nbar = thermal_occupation(omega, p.beta)
     imbalance = j + w * lorentzian_asymmetry(omega, p)
-    downward = j * nbar + w * lorentzian(-np.asarray(omega, dtype=float), p)
-    return np.log1p(imbalance / downward) / omega
+    coupled_down = w * lorentzian(-np.asarray(omega, dtype=float), p)
+    downward = j * nbar + coupled_down
+    underflow = downward < _TINY
+    if not underflow.any():
+        return np.log1p(imbalance / downward) / omega
+    # Cold bath: take the flux ratio in logs, log n = -bw - log(1 - exp(-bw)).
+    bw = p.beta * np.asarray(omega, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_down = np.logaddexp(np.log(j) - bw - np.log(-np.expm1(-bw)), np.log(coupled_down))
+        x = np.where(underflow, np.logaddexp(0.0, np.log(imbalance) - log_down),
+                     np.log1p(imbalance / downward))
+    return x / omega
 
 
 def detailed_balance_coth(omega, p: SystemParams):
@@ -246,37 +258,21 @@ class BathSpectrum:
     beta_eff: np.ndarray
     flags: list[str] = field(default_factory=list)
 
-    COLUMNS = ("omega", "j_eff", "beta_eff", "t_eff", "flags")
-
     def t_eff(self) -> np.ndarray:
         """Effective temperature 1/beta_eff per grid point (may be negative)."""
         with np.errstate(divide="ignore"):
             return 1.0 / self.beta_eff
 
-    def rows(self):
-        t = self.t_eff()
-        for i, w in enumerate(self.grid):
-            yield (w, self.j_eff[i], self.beta_eff[i], t[i], self.flags[i])
+    def columns(self) -> dict:
+        """The table's columns by output name, in output order."""
+        return {"omega": self.grid, "j_eff": self.j_eff, "beta_eff": self.beta_eff,
+                "t_eff": self.t_eff(), "flags": self.flags}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.COLUMNS)
-        for w, j, b, t, flag in self.rows():
-            writer.writerow([f"{w:.12e}", f"{j:.12e}", f"{b:.12e}", f"{t:.12e}", flag])
-        return buf.getvalue()
+        return _table.to_csv(self.columns())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "omega": [float(x) for x in self.grid],
-                "j_eff": [float(x) for x in self.j_eff],
-                "beta_eff": [float(x) for x in self.beta_eff],
-                "t_eff": [float(x) for x in self.t_eff()],
-                "flags": list(self.flags),
-            },
-            indent=1,
-        )
+        return _table.to_json(self.columns())
 
 
 def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:

@@ -8,14 +8,11 @@ with the analytic criteria property-tested against it.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _table
 from .params import SQRT3, SystemParams
 
 STABLE = "stable"
@@ -197,62 +194,28 @@ class StabilityMap:
     eigen: np.ndarray     # verdict strings
     disagree: np.ndarray  # bool; only set where the analytic form applies
 
-    COLUMNS_TAIL = ("s1", "s2", "s3", "abscissa", "analytic", "eigen", "disagree")
+    def _cells(self) -> dict:
+        """Per-cell fields in output order; s1..s3 are None where they do not apply."""
+        na = lambda s: np.where(np.isnan(s), None, s)
+        return {"s1": na(self.s1), "s2": na(self.s2), "s3": na(self.s3),
+                "abscissa": self.abscissa, "analytic": self.analytic,
+                "eigen": self.eigen, "disagree": self.disagree}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow((self.var1, self.var2) + self.COLUMNS_TAIL)
-        for i, v1 in enumerate(self.values1):
-            for k, v2 in enumerate(self.values2):
-                ana = self.analytic[i, k]
-                writer.writerow(
-                    [
-                        f"{v1:.12e}",
-                        f"{v2:.12e}",
-                        _fmt(self.s1[i, k]),
-                        _fmt(self.s2[i, k]),
-                        _fmt(self.s3[i, k]),
-                        f"{self.abscissa[i, k]:.12e}",
-                        "" if ana is None else str(bool(ana)).lower(),
-                        self.eigen[i, k],
-                        str(bool(self.disagree[i, k])).lower(),
-                    ]
-                )
-        return buf.getvalue()
+        """One row per cell, var1 varying slowest."""
+        n1, n2 = len(self.values1), len(self.values2)
+        return _table.to_csv({self.var1: np.repeat(self.values1, n2),
+                              self.var2: np.tile(self.values2, n1),
+                              **{k: np.ravel(v) for k, v in self._cells().items()}})
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "var1": self.var1,
-                "values1": [float(x) for x in self.values1],
-                "var2": self.var2,
-                "values2": [float(x) for x in self.values2],
-                "s1": _jsonable(self.s1),
-                "s2": _jsonable(self.s2),
-                "s3": _jsonable(self.s3),
-                "abscissa": [[float(x) for x in row] for row in self.abscissa],
-                "analytic": [
-                    [None if a is None else bool(a) for a in row] for row in self.analytic
-                ],
-                "eigen": [list(row) for row in self.eigen],
-                "disagree": [[bool(x) for x in row] for row in self.disagree],
-            },
-            indent=1,
-        )
-
-
-def _fmt(x) -> str:
-    return "" if x is None or (isinstance(x, float) and math.isnan(x)) else f"{x:.12e}"
-
-
-def _jsonable(a):
-    return [[None if (isinstance(x, float) and math.isnan(x)) else float(x) for x in row]
-            for row in a]
+        """The raster as nested lists, one inner list per var1 value."""
+        return _table.to_json({"var1": self.var1, "values1": self.values1,
+                               "var2": self.var2, "values2": self.values2, **self._cells()})
 
 
 def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> StabilityMap:
-    """Sweep two parameters, recording analytic and eigenvalue verdicts per cell.
+    """Sweep two different parameters, recording analytic and eigenvalue verdicts per cell.
 
     The eigenvalue verdict uses the 6x6 matrix when the cell has g_a > 0 and
     the 4x4 matrix otherwise (a decoupled probe contributes an undamped
@@ -263,6 +226,8 @@ def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> St
     for v in (var1, var2):
         if v not in _SWEEPABLE:
             raise ValueError(f"cannot sweep {v!r}; choose from {_SWEEPABLE}")
+    if var1 == var2:
+        raise ValueError(f"var1 and var2 must be different parameters, both are {var1!r}")
     values1 = np.asarray(values1, dtype=float)
     values2 = np.asarray(values2, dtype=float)
     if len(values1) == 0 or len(values2) == 0:

@@ -208,6 +208,11 @@ class TestExitCodes:
                        "--min2", "0", "--count1", "3", "--count2", "3") == 2
         assert "kappa_c" in capsys.readouterr().err
 
+    def test_same_swept_variable_twice_is_config_error(self, capsys):
+        assert run_cli("stability", "--preset", "fig1-cooled", "--var1", "g_c",
+                       "--var2", "g_c", "--count1", "3", "--count2", "3") == 2
+        assert "g_c" in capsys.readouterr().err
+
     def test_nonpositive_lin_grid_is_config_error(self):
         assert run_cli("rates", "--preset", "fig1-cooled", "--grid-scale", "lin",
                        "--grid-min", "0", "--grid-max", "1") == 2

@@ -12,6 +12,7 @@ from optobath import (
     c_qq_total,
     chi_q,
     correlation_series,
+    damping_kernel,
     diffusion_matrix,
     drift_matrix_qc,
     langevin_trajectory,
@@ -71,6 +72,16 @@ class TestTotalAndRepresentation:
         a = c_qq_total(t, fig1_cold)
         b = c_qq_representation(t, fig1_cold)
         assert abs(a - b) / abs(b) < 1e-3
+
+    @pytest.mark.parametrize("params", ["fig1", "fig1_bare"])
+    def test_representation_equivalence_at_long_time(self, params, request):
+        # at t = 200 the oscillatory rule covers the segment that starts at
+        # omega = 0, where j_eff and beta_eff are undefined
+        p = request.getfixturevalue(params)
+        c0 = abs(c_qq_total(0.0, p))
+        a, b = c_qq_total(200.0, p), c_qq_representation(200.0, p)
+        assert np.isfinite(a) and abs(a - b) < 1e-3 * c0
+        assert math.isfinite(damping_kernel(200.0, p))
 
     def test_decay_at_long_times(self, fig1_cold):
         c0 = abs(c_qq_total(0.0, fig1_cold))

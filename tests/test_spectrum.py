@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from optobath import (
     DivergenceError,
@@ -76,6 +76,17 @@ class TestBetaEff:
         assert np.all(
             np.abs(beta_eff(w, fig1_bare) - fig1_bare.beta) <= 1e-12 * fig1_bare.beta
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_beta_omega=st.floats(-6.0, 3.0), omega=st.floats(1e-3, 30.0))
+    @example(log_beta_omega=3.0, omega=1.0)
+    @example(log_beta_omega=math.log10(3000.0), omega=3.0)
+    def test_bare_bath_recovers_beta_at_any_temperature(self, log_beta_omega, omega):
+        # from beta*omega ~ 710 up the thermal occupation in the downward
+        # flux underflows; beta_eff must still be beta, not inf
+        p = SystemParams(gamma_m=1e-3, g_c=0.0, beta=10.0**log_beta_omega / omega)
+        assert abs(beta_eff(omega, p) - p.beta) <= 1e-12 * p.beta
+        assert compute_spectrum(p, np.array([omega])).flags == [""]
 
     def test_low_frequency_temperature_reduction(self, fig1):
         # closed-form limit 2.8382; T_eff/T = 1e-4/2.8382 = 3.52e-5

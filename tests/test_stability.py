@@ -281,6 +281,12 @@ class TestStabilityMap:
         with pytest.raises(ValueError):
             stability_map(fig1_cold, "beta", np.array([0.1]), "g_a", np.array([0.1]))
 
+    def test_rejects_same_variable_twice(self, fig1_cold):
+        # var2 would overwrite var1 in every cell, so the var1 column would
+        # print values that were never applied
+        with pytest.raises(ValueError, match="different"):
+            stability_map(fig1_cold, "g_c", np.array([0.1, 0.9]), "g_c", np.array([0.2, 0.3]))
+
 
 def per_cell_map(p, var1, values1, var2, values2):
     """Reference route for stability_map: one replace() and one matrix per cell."""
@@ -325,7 +331,7 @@ def _sweep_values(var, rng, base):
 
 SWEPT_PAIRS = [("g_c", "g_a"), ("g_c", "delta_a"), ("delta_c", "kappa_c"),
                ("gamma_m", "g_a"), ("kappa_c", "g_c"), ("delta_a", "gamma_m"),
-               ("g_a", "delta_c"), ("g_c", "g_c")]
+               ("g_a", "delta_c")]
 
 
 def assert_map_matches_reference(p, var1, values1, var2, values2):

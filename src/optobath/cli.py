@@ -1,8 +1,8 @@
 """Command-line front end: sweeps, presets, figure data and validation.
 
 Exit codes: 0 on success, 1 when validation finds a failing check, 2 for
-configuration errors (bad parameters, malformed sweep specs, unreadable
-config files).
+configuration errors: bad parameters, malformed sweep specs, unreadable
+config files, and any value the library rejects with ValueError.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from .rates import compute_rates
 from .spectrum import compute_spectrum, g_c_max
 from .stability import stability_map
 from .validate import fig1_bare, fig1_cooled, run_checks
-
-
-class ConfigError(Exception):
-    """Invalid configuration: reported on stderr with exit code 2."""
 
 
 PRESETS = {
@@ -50,27 +46,16 @@ def fig3_family() -> list[SystemParams]:
     return members
 
 
-_OVERRIDE_FLAGS = {
-    "--omega-m": "omega_m",
-    "--gamma-m": "gamma_m",
-    "--kappa-b": "kappa_b",
-    "--kappa-c": "kappa_c",
-    "--kappa-a": "kappa_a",
-    "--delta-a": "delta_a",
-    "--delta-b": "delta_b",
-    "--delta-c": "delta_c",
-    "--ga": "g_a",
-    "--gc": "g_c",
-    "--beta": "beta",
-    "--cutoff": "cutoff",
-}
+# SystemParams field -> override flag: the field name with "-" for "_",
+# except the two couplings, which keep their short spellings.
+_PARAM_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in fields(SystemParams)}
+_PARAM_FLAGS.update(g_a="--ga", g_c="--gc")
 
 
-def _add_param_flags(parser):
+def _add_param_flags(parser, presets=tuple(sorted(PRESETS))):
     parser.add_argument("--config", metavar="PATH", help="JSON parameter file")
-    parser.add_argument("--preset", choices=sorted(PRESETS) + ["fig3"],
-                        help="named parameter set")
-    for flag, dest in _OVERRIDE_FLAGS.items():
+    parser.add_argument("--preset", choices=presets, help="named parameter set")
+    for dest, flag in _PARAM_FLAGS.items():
         parser.add_argument(flag, dest=dest, type=float, default=None)
 
 
@@ -81,51 +66,47 @@ def _add_output_flags(parser):
                         help="accepted for compatibility; has no effect")
 
 
-def _add_grid_flags(parser, prefix="grid"):
-    parser.add_argument(f"--{prefix}-min", type=float, default=1e-4)
-    parser.add_argument(f"--{prefix}-max", type=float, default=4.0)
-    parser.add_argument(f"--{prefix}-count", type=int, default=400)
-    parser.add_argument(f"--{prefix}-scale", choices=("log", "lin"), default="log")
+def _add_grid_flags(parser):
+    parser.add_argument("--grid-min", type=float, default=1e-4)
+    parser.add_argument("--grid-max", type=float, default=4.0)
+    parser.add_argument("--grid-count", type=int, default=400)
+    parser.add_argument("--grid-scale", choices=("log", "lin"), default="log")
+
+
+def _overrides(args) -> dict:
+    """The parameter flags given on the command line, by field name."""
+    return {dest: getattr(args, dest) for dest in _PARAM_FLAGS if getattr(args, dest) is not None}
 
 
 def build_params(args) -> SystemParams:
     """Merge config file, preset and per-flag overrides into SystemParams."""
     data: dict = {}
-    if args.preset and args.preset != "fig3":
+    if args.preset:
         data.update(PRESETS[args.preset]().to_dict())
     if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError("config document must be a JSON object")
+            raise ValueError("config document must be a JSON object")
         hardware = loaded.pop("hardware", None)
         if hardware is not None:
-            try:
-                loaded["g_a"] = g_a_from_hardware_block(hardware)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            loaded["g_a"] = g_a_from_hardware_block(hardware)
         data.update(loaded)
-    for dest in _OVERRIDE_FLAGS.values():
-        value = getattr(args, dest)
-        if value is not None:
-            data[dest] = value
-    try:
-        return SystemParams.from_dict(data) if data else SystemParams()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    data.update(_overrides(args))
+    return SystemParams.from_dict(data)
 
 
 def make_grid(lo: float, hi: float, count: int, scale: str) -> np.ndarray:
     if count < 2:
-        raise ConfigError("sweep count must be >= 2")
+        raise ValueError("sweep count must be >= 2")
     if not lo < hi:
-        raise ConfigError("sweep min must be < max")
+        raise ValueError("sweep min must be < max")
     if scale == "log":
         if lo <= 0:
-            raise ConfigError("log grid requires min > 0")
+            raise ValueError("log grid requires min > 0")
         return np.logspace(math.log10(lo), math.log10(hi), count)
     return np.linspace(lo, hi, count)
 
@@ -136,49 +117,62 @@ def _emit(text: str, out: str | None) -> None:
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _family_spectrum_csv(members: list[SystemParams], grid: np.ndarray) -> str:
+def _write(table, args) -> None:
+    """Write a table in the chosen --format to --out or stdout."""
+    _emit(table.to_csv() if args.format == "csv" else table.to_json() + "\n", args.out)
+
+
+class _Columns(dict):
+    """A table with no library type: an ordered column name -> column mapping."""
+
+    def to_csv(self) -> str:
+        return _table.to_csv(self)
+
+    def to_json(self) -> str:
+        return _table.to_json(self)
+
+
+def _fig3_table(args, grid: np.ndarray) -> _Columns:
     """One table: the member's g_c, then its spectrum columns, members stacked."""
+    ignored = ["--config"] if args.config else []
+    ignored += [_PARAM_FLAGS[dest] for dest in _overrides(args)]
+    if ignored:
+        raise ValueError("--preset fig3 fixes its own parameters and would ignore "
+                         + ", ".join(ignored))
+    members = fig3_family()
     spectra = [compute_spectrum(member, grid).columns() for member in members]
-    return _table.to_csv({"g_c": np.repeat([member.g_c for member in members], len(grid)),
-                          **{name: np.concatenate([spec[name] for spec in spectra])
-                             for name in spectra[0]}})
+    return _Columns({"g_c": np.repeat([member.g_c for member in members], len(grid)),
+                     **{name: np.concatenate([spec[name] for spec in spectra])
+                        for name in spectra[0]}})
 
 
 def cmd_spectrum(args) -> int:
     grid = make_grid(args.grid_min, args.grid_max, args.grid_count, args.grid_scale)
     if args.preset == "fig3":
-        _emit(_family_spectrum_csv(fig3_family(), grid), args.out)
-        return 0
-    p = build_params(args)
-    try:
-        spec = compute_spectrum(p, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _emit(spec.to_csv() if args.format == "csv" else spec.to_json() + "\n", args.out)
+        table = _fig3_table(args, grid)
+    else:
+        table = compute_spectrum(build_params(args), grid)
+    _write(table, args)
     return 0
 
 
 def cmd_rates(args) -> int:
     p = build_params(args)
     if (args.omega_a is None) != (args.nu_b is None):
-        raise ConfigError("--omega-a and --nu-b must be given together")
+        raise ValueError("--omega-a and --nu-b must be given together")
     if args.omega_a is not None:
         omega = args.omega_a - args.nu_b
         if omega <= 0:
-            raise ConfigError("omega_a - nu_b must be positive")
+            raise ValueError("omega_a - nu_b must be positive")
         grid = np.array([omega])
     else:
         grid = make_grid(args.grid_min, args.grid_max, args.grid_count, args.grid_scale)
-    try:
-        table = compute_rates(p, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _emit(table.to_csv() if args.format == "csv" else table.to_json() + "\n", args.out)
+    _write(compute_rates(p, grid), args)
     return 0
 
 
@@ -186,11 +180,7 @@ def cmd_stability(args) -> int:
     p = build_params(args)
     values1 = make_grid(args.min1, args.max1, args.count1, "lin")
     values2 = make_grid(args.min2, args.max2, args.count2, "lin")
-    try:
-        smap = stability_map(p, args.var1, values1, args.var2, values2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _emit(smap.to_csv() if args.format == "csv" else smap.to_json() + "\n", args.out)
+    _write(stability_map(p, args.var1, values1, args.var2, values2), args)
     return 0
 
 
@@ -214,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="effective spectral density and temperature")
-    _add_param_flags(sp)
+    _add_param_flags(sp, presets=(*sorted(PRESETS), "fig3"))
     _add_grid_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
@@ -251,11 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,10 +19,10 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from . import _table
 from ._quad import frequency_cutoff, resonance_peak, spectral_integral
-from .params import SystemParams, thermal_occupation
+from .params import SystemParams
 from .response import chi_q, lorentzian, lorentzian_asymmetry
 from .spectrum import beta_eff, j_eff, ohmic_j
-from .stability import MARGINAL, STABLE, drift_matrix_qc, eigen_stable
+from .stability import STABLE, drift_matrix_qc, eigen_stable
 
 
 def _complex_kernel(p: SystemParams, t: float, f_cos, f_sin) -> complex:

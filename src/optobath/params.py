@@ -82,8 +82,11 @@ def thermal_occupation(omega, beta):
     """Bose occupation 1/(exp(beta*omega) - 1), for floats or arrays.
 
     Used for the mechanical environment and, at beta_eff, for the photons.
+    Past beta*omega ~ 709 expm1 overflows to inf and the occupation is 0,
+    which is the exact limit, so that overflow is not warned about.
     """
-    return 1.0 / np.expm1(beta * omega)
+    with np.errstate(over="ignore"):
+        return 1.0 / np.expm1(beta * omega)
 
 
 @dataclass(frozen=True)

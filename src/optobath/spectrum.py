@@ -88,8 +88,7 @@ def beta_eff(omega, p: SystemParams):
         raise ValueError("no bath: gamma_m = 0 and g_c = 0")
     w = _coupling_weight(p)
     j = ohmic_j(omega, p)
-    with np.errstate(over="ignore"):
-        nbar = thermal_occupation(omega, p.beta)
+    nbar = thermal_occupation(omega, p.beta)
     imbalance = j + w * lorentzian_asymmetry(omega, p)
     coupled_down = w * lorentzian(-np.asarray(omega, dtype=float), p)
     downward = j * nbar + coupled_down

@@ -1,17 +1,18 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from optobath import compute_rates
-from optobath.cli import main, make_grid
+from optobath import SystemParams, compute_rates
+from optobath.cli import build_parser, main, make_grid
 from optobath.validate import fig1_cooled
 
 SQRT3 = math.sqrt(3.0)
@@ -19,6 +20,13 @@ SQRT3 = math.sqrt(3.0)
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_text(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def read_csv(path):
@@ -56,6 +64,30 @@ class TestSpectrumCommand:
         gmax = (2.0 / SQRT3) / 2.0
         assert gs[1] == pytest.approx(0.24 * gmax, rel=1e-12)
         assert len(rows) == 5 * 50
+
+    def test_fig3_family_json_carries_csv_values(self):
+        argv = ("spectrum", "--preset", "fig3", "--grid-count", "6")
+        _, text, _ = run_cli_text(*argv)
+        code, doc, _ = run_cli_text(*argv, "--format", "json")
+        assert code == 0
+        data = json.loads(doc)
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        assert list(data) == header
+        assert len(data["g_c"]) == len(rows) == 5 * 6
+        for i, name in enumerate(header[:-1]):
+            assert [f"{x:.12e}" for x in data[name]] == [row[i] for row in rows]
+        assert data["flags"] == [row[-1] for row in rows]
+
+    @pytest.mark.parametrize("extra", [("--gc", "0.3"), ("--kappa-a", "0.1"),
+                                       ("--config", "params.json")])
+    def test_fig3_rejects_parameter_inputs(self, extra, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "params.json").write_text(json.dumps({"g_c": 0.3}))
+        code, out, err = run_cli_text("spectrum", "--preset", "fig3", "--grid-count", "5",
+                                      *extra)
+        assert code == 2
+        assert out == ""
+        assert "fig3" in err and extra[0] in err
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -220,6 +252,13 @@ class TestExitCodes:
     def test_no_bath_is_config_error(self):
         assert run_cli("spectrum", "--gc", "0") == 2
 
+    @pytest.mark.parametrize("command", ["rates", "stability", "validate"])
+    def test_fig3_preset_only_for_spectrum(self, command):
+        # only spectrum honours the family; elsewhere it would run on defaults
+        with pytest.raises(SystemExit) as exc:
+            run_cli_text(command, "--preset", "fig3")
+        assert exc.value.code == 2
+
     def test_unknown_format_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("spectrum", "--format", "xml")
@@ -253,3 +292,14 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("omega,")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "rates", "stability", "validate"])
+def test_parameter_flags_follow_system_params(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    names = [f.name for f in fields(SystemParams)]
+    flags = [a.option_strings for a in sub.choices[command]._actions if a.dest in names]
+    assert flags == [["--omega-m"], ["--gamma-m"], ["--kappa-b"], ["--kappa-c"], ["--kappa-a"],
+                     ["--delta-a"], ["--delta-b"], ["--delta-c"], ["--ga"], ["--gc"],
+                     ["--beta"], ["--cutoff"]]
+    assert [a.dest for a in sub.choices[command]._actions if a.dest in names] == names

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,17 @@ class TestOccupation:
         cold = replace(fig1_bare, beta=2.0)
         assert occupation(10.0, cold) < 1e-8
         assert occupation(10.0, cold) < occupation(5.0, cold) < occupation(1.0, cold)
+
+    def test_cold_bath_underflows_to_zero_without_warning(self):
+        # from beta*Omega ~ 709 expm1 overflows and the Bose factor is exactly 0
+        cold = SystemParams(gamma_m=1e-3, g_c=0.0, beta=1e3, g_a=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = compute_rates(cold, [0.5, 1.0, 3.0])
+            n = occupation(1.0, cold)
+        assert table.n_bar[0] == pytest.approx(math.exp(-500.0), rel=1e-12)
+        assert list(table.n_bar[1:]) == [0.0, 0.0]
+        assert n == 0.0
 
     def test_monotone_decreasing_at_flat_temperature(self, fig1):
         ws = np.linspace(1e-3, 1e-2, 20)

@@ -93,11 +93,12 @@ def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain"
                       epsrel: float = 1e-8) -> float:
     """Integrate f(omega) [* cos/sin(omega*t)] over (0, cutoff], piecewise.
 
-    ``kind`` selects the weight: "plain", "cos" or "sin". Raises
+    ``kind`` selects the weight: "plain", "cos" or "sin". At t = 0 the
+    "sin" integral is 0 and the "cos" one is the plain integral. Raises
     QuadratureError when the accumulated error estimate exceeds a loose
     multiple of the requested tolerance, reporting the achieved value.
     """
-    if p.g_c == 0.0 and p.gamma_m == 0.0:
+    if (p.g_c == 0.0 and p.gamma_m == 0.0) or (kind == "sin" and t == 0):
         return 0.0
     hi = frequency_cutoff(p) if upper is None else upper
     inner = breakpoints(p)

@@ -102,8 +102,8 @@ def build_params(args) -> SystemParams:
 def make_grid(lo: float, hi: float, count: int, scale: str) -> np.ndarray:
     if count < 2:
         raise ValueError("sweep count must be >= 2")
-    if not lo < hi:
-        raise ValueError("sweep min must be < max")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("sweep min and max must be finite, with min < max")
     if scale == "log":
         if lo <= 0:
             raise ValueError("log grid requires min > 0")
@@ -167,8 +167,8 @@ def cmd_rates(args) -> int:
         raise ValueError("--omega-a and --nu-b must be given together")
     if args.omega_a is not None:
         omega = args.omega_a - args.nu_b
-        if omega <= 0:
-            raise ValueError("omega_a - nu_b must be positive")
+        if not (math.isfinite(omega) and omega > 0):
+            raise ValueError("omega_a - nu_b must be finite and positive")
         grid = np.array([omega])
     else:
         grid = make_grid(args.grid_min, args.grid_max, args.grid_count, args.grid_scale)

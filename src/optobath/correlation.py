@@ -3,7 +3,10 @@
 Everything here exists to validate the spectral shortcuts elsewhere in the
 package by an independent route: direct quadrature of the coordinate
 autocorrelation, the steady-state covariance from the Lyapunov equation, and
-Euler-Maruyama ensembles of the quadrature Langevin dynamics. The white-noise
+Euler-Maruyama ensembles of the quadrature Langevin dynamics. Each
+contribution to the autocorrelation has one array-native integrand, shared by
+the adaptive c_qq_* oracles and the fixed-grid correlation_series;
+c_qq_total is one integral of the summed integrand. The white-noise
 oracles (Lyapunov, trajectories) are valid only at gamma_m = 0, where every
 noise source entering the 4x4 system is delta-correlated; thermal Brownian
 noise is colored and is validated in the frequency domain instead.
@@ -25,11 +28,49 @@ from .spectrum import beta_eff, j_eff, ohmic_j
 from .stability import STABLE, drift_matrix_qc, eigen_stable
 
 
-def _complex_kernel(p: SystemParams, t: float, f_cos, f_sin) -> complex:
-    """integral f_cos(w) cos(wt) - i * integral f_sin(w) sin(wt), t >= 0."""
-    re = spectral_integral(f_cos, p, t=t, kind="cos" if t > 0 else "plain")
-    im = spectral_integral(f_sin, p, t=t, kind="sin") if t > 0 else 0.0
-    return re - 1j * im
+def _integrands(p: SystemParams, which: str):
+    """(f_cos, f_sin) of one contribution to C_qq, or None if it is not coupled.
+
+    C(t) = integral_0^inf dw [f_cos(w) cos(wt) - i f_sin(w) sin(wt)], the
+    formulas being those of c_qq_thermal and c_qq_optical; "total" sums the
+    coupled parts. Both functions take a float or an array of omega > 0, so
+    the adaptive and the fixed-grid routes evaluate the same integrand.
+    """
+    if which not in ("thermal", "optical", "total"):
+        raise ValueError("which must be thermal | optical | total")
+    thermal = which != "optical" and p.gamma_m > 0
+    optical = which != "thermal" and p.g_c > 0
+    if not (thermal or optical):
+        return None
+    weight = 2.0 * p.g_c**2 * p.omega_m
+
+    def f_cos(w):
+        mod2, value = abs(chi_q(w, p)) ** 2, 0.0
+        if thermal:
+            value += ohmic_j(w, p) * mod2 / np.tanh(p.beta * w / 2.0) / math.pi
+        if optical:
+            value += weight * mod2 * (lorentzian(w, p) + lorentzian(-w, p))
+        return value
+
+    def f_sin(w):
+        mod2, value = abs(chi_q(w, p)) ** 2, 0.0
+        if thermal:
+            value += ohmic_j(w, p) * mod2 / math.pi
+        if optical:
+            value += weight * mod2 * lorentzian_asymmetry(w, p)
+        return value
+
+    return f_cos, f_sin
+
+
+def _adaptive(p: SystemParams, t: float, pair) -> complex:
+    """integral f_cos(w) cos(wt) - i f_sin(w) sin(wt) adaptively, as conj C(-t) at t < 0."""
+    if pair is None:
+        return 0.0 + 0.0j
+    f_cos, f_sin = pair
+    value = (spectral_integral(f_cos, p, t=abs(t), kind="cos")
+             - 1j * spectral_integral(f_sin, p, t=abs(t), kind="sin"))
+    return value.conjugate() if t < 0 else value
 
 
 def c_qq_thermal(t: float, p: SystemParams) -> complex:
@@ -38,18 +79,7 @@ def c_qq_thermal(t: float, p: SystemParams) -> complex:
     C_F(t) = integral_0^inf dw (J(w) |chi_q(w)|^2 / pi)
              * [coth(beta w / 2) cos(wt) - i sin(wt)].
     """
-    if t < 0:
-        return np.conj(c_qq_thermal(-t, p))
-    if p.gamma_m == 0.0:
-        return 0.0 + 0.0j
-
-    def f_cos(w):
-        return ohmic_j(w, p) * abs(chi_q(w, p)) ** 2 / math.pi / math.tanh(p.beta * w / 2.0)
-
-    def f_sin(w):
-        return ohmic_j(w, p) * abs(chi_q(w, p)) ** 2 / math.pi
-
-    return _complex_kernel(p, t, f_cos, f_sin)
+    return _adaptive(p, t, _integrands(p, "thermal"))
 
 
 def c_qq_optical(t: float, p: SystemParams) -> complex:
@@ -59,24 +89,12 @@ def c_qq_optical(t: float, p: SystemParams) -> complex:
              * [exp(-iwt) L(w) + exp(+iwt) L(-w)],
     the two terms being the cooling and counter-rotating (heating) sidebands.
     """
-    if t < 0:
-        return np.conj(c_qq_optical(-t, p))
-    if p.g_c == 0.0:
-        return 0.0 + 0.0j
-    weight = 2.0 * p.g_c**2 * p.omega_m
-
-    def f_cos(w):
-        return weight * abs(chi_q(w, p)) ** 2 * (lorentzian(w, p) + lorentzian(-w, p))
-
-    def f_sin(w):
-        return weight * abs(chi_q(w, p)) ** 2 * lorentzian_asymmetry(w, p)
-
-    return _complex_kernel(p, t, f_cos, f_sin)
+    return _adaptive(p, t, _integrands(p, "optical"))
 
 
 def c_qq_total(t: float, p: SystemParams) -> complex:
-    """Full coordinate autocorrelation, thermal plus optical contributions."""
-    return c_qq_thermal(t, p) + c_qq_optical(t, p)
+    """Full coordinate autocorrelation: one integral of the summed integrand."""
+    return _adaptive(p, t, _integrands(p, "total"))
 
 
 def c_qq_representation(t: float, p: SystemParams) -> complex:
@@ -87,8 +105,6 @@ def c_qq_representation(t: float, p: SystemParams) -> complex:
     Agreement with c_qq_total is the defining property of the engineered
     bath description.
     """
-    if t < 0:
-        return np.conj(c_qq_representation(-t, p))
 
     def f_cos(w):
         coth = 1.0 + 2.0 / np.expm1(w * beta_eff(w, p))
@@ -97,7 +113,7 @@ def c_qq_representation(t: float, p: SystemParams) -> complex:
     def f_sin(w):
         return j_eff(w, p) / math.pi
 
-    return _complex_kernel(p, t, f_cos, f_sin)
+    return _adaptive(p, t, (f_cos, f_sin))
 
 
 @dataclass
@@ -141,22 +157,10 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     the Fourier-consistency checks. For single times at tight tolerance use
     the adaptive c_qq_* functions.
     """
-    if which not in ("thermal", "optical", "total"):
-        raise ValueError("which must be thermal | optical | total")
+    pair = _integrands(p, which)
     times = np.asarray(times, dtype=float)
     w = _dense_frequency_grid(p, n_freq)
-    mod2 = np.abs(chi_q(w, p)) ** 2
-
-    f_cos = np.zeros_like(w)
-    f_sin = np.zeros_like(w)
-    if which in ("thermal", "total") and p.gamma_m > 0:
-        j = ohmic_j(w, p)
-        f_cos += j * mod2 / np.tanh(p.beta * w / 2.0) / math.pi
-        f_sin += j * mod2 / math.pi
-    if which in ("optical", "total") and p.g_c > 0:
-        wt = 2.0 * p.g_c**2 * p.omega_m
-        f_cos += wt * mod2 * (lorentzian(w, p) + lorentzian(-w, p))
-        f_sin += wt * mod2 * lorentzian_asymmetry(w, p)
+    f_cos, f_sin = (np.zeros_like(w), np.zeros_like(w)) if pair is None else (f(w) for f in pair)
 
     values = np.empty(len(times), dtype=complex)
     chunk = max(1, int(2e7 / len(w)))
@@ -178,6 +182,17 @@ def diffusion_matrix(p: SystemParams) -> np.ndarray:
     return np.diag([0.0, 0.0, p.kappa_c / 2.0, p.kappa_c / 2.0])
 
 
+def _white_noise_drift(p: SystemParams, oracle: str) -> np.ndarray:
+    """The 4x4 drift matrix, if p is a strictly stable point at gamma_m = 0."""
+    if p.gamma_m != 0.0:
+        raise ValueError(f"{oracle} oracle requires gamma_m = 0 (thermal noise is colored)")
+    a = drift_matrix_qc(p)
+    abscissa, verdict = eigen_stable(a)
+    if verdict != STABLE:
+        raise ValueError(f"drift matrix not strictly stable (abscissa {abscissa:.3e})")
+    return a
+
+
 def lyapunov_covariance(p: SystemParams) -> np.ndarray:
     """Steady-state covariance V solving A V + V A^T + D = 0.
 
@@ -185,12 +200,7 @@ def lyapunov_covariance(p: SystemParams) -> np.ndarray:
     drift matrix. The residual of the returned solution is checked below
     1e-10 before it is handed back.
     """
-    if p.gamma_m != 0.0:
-        raise ValueError("Lyapunov oracle requires gamma_m = 0 (thermal noise is colored)")
-    a = drift_matrix_qc(p)
-    abscissa, verdict = eigen_stable(a)
-    if verdict != STABLE:
-        raise ValueError(f"drift matrix not strictly stable (abscissa {abscissa:.3e})")
+    a = _white_noise_drift(p, "Lyapunov")
     d = diffusion_matrix(p)
     v = solve_continuous_lyapunov(a, -d)
     v = 0.5 * (v + v.T)
@@ -221,14 +231,9 @@ def langevin_trajectory(p: SystemParams, *, seed: int, duration: float = 200.0,
     autocorrelation within a run. Aborts if any trajectory diverges
     (unstable parameters slipped through).
     """
-    if p.gamma_m != 0.0:
-        raise ValueError("trajectory oracle requires gamma_m = 0")
+    a = _white_noise_drift(p, "trajectory")
     if dt > 0.01 / max(p.omega_m, p.kappa_c):
         raise ValueError("dt too coarse: require dt <= 0.01/max(omega_m, kappa_c)")
-    a = drift_matrix_qc(p)
-    abscissa, verdict = eigen_stable(a)
-    if verdict != STABLE:
-        raise ValueError(f"drift matrix not strictly stable (abscissa {abscissa:.3e})")
 
     n_steps = int(round(duration / dt))
     n_burn = min(int(round(burn_in / dt)), n_steps - 1)

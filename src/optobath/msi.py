@@ -8,7 +8,9 @@ used everywhere else. This is the only place SI units appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .params import finite_real
 
 HBAR_SI = 1.054571817e-34  # J*s
 
@@ -29,6 +31,8 @@ class MsiGeometry:
     l: float
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, finite_real(f.name, getattr(self, f.name)))
         # r_m = 0 (fully transparent membrane) is allowed and decouples the
         # modes; r_m = 1 would close the Sagnac path entirely
         if not 0 <= self.r_m < 1:
@@ -79,13 +83,8 @@ def g_a_from_hardware_block(block: dict) -> float:
     unknown = set(block) - required
     if unknown:
         raise ValueError(f"hardware block has unknown keys: {sorted(unknown)}")
-    geo = MsiGeometry(
-        r_m=float(block["r_m"]),
-        omega_0=float(block["omega_0"]),
-        d=float(block["d"]),
-        L=float(block["L"]),
-        l=float(block["l"]),
-    )
+    values = {key: finite_real(f"hardware {key}", block[key]) for key in block}
+    geo = MsiGeometry(**{f.name: values[f.name] for f in fields(MsiGeometry)})
     return enhanced_coupling_from_hardware(
-        geo, float(block["b_s"]), float(block["mass"]), float(block["omega_m_si"])
+        geo, values["b_s"], values["mass"], values["omega_m_si"]
     )

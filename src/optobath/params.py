@@ -18,6 +18,13 @@ import numpy as np
 SQRT3 = math.sqrt(3.0)
 
 
+def finite_real(name: str, value) -> float:
+    """``value`` as a float if it is a finite real number, not a bool; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical rates, detunings and couplings of the driven system.
@@ -42,11 +49,7 @@ class SystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
-            object.__setattr__(self, f.name, float(value))
+            object.__setattr__(self, f.name, finite_real(f.name, getattr(self, f.name)))
         positive = ("omega_m", "kappa_b", "kappa_c", "beta", "cutoff")
         nonneg = ("gamma_m", "kappa_a", "g_a", "g_c")
         for name in positive:

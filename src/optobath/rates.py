@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _table
 from .params import SystemParams, q_zpf_squared, thermal_occupation
-from .spectrum import beta_eff, default_grid, j_eff
+from .spectrum import _checked_grid, beta_eff, j_eff
 
 
 class NonEquilibriumError(ValueError):
@@ -146,9 +146,7 @@ def compute_rates(p: SystemParams, grid=None) -> RateTable:
     occupation column is NaN exactly where its scalar function raises
     NonEquilibriumError, so n_bar_lossy can exist where n_bar does not.
     """
-    grid = default_grid(p) if grid is None else np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise ValueError("rate grid requires Omega > 0")
+    grid = _checked_grid(p, grid)
     absorption, emission, be, n = _noise_sides(grid, p)
     pref = _rate_prefactor(p)
     gp, gm = pref * absorption, pref * emission

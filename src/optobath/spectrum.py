@@ -239,13 +239,21 @@ def damping_kernel(t: float, p: SystemParams, *, upper: float | None = None,
     if t < 0:
         return 0.0
     f = lambda w: (2.0 / math.pi) * j_eff(w, p) / w
-    return spectral_integral(f, p, t=t, kind="cos" if t > 0 else "plain",
-                             upper=upper, epsabs=epsabs, epsrel=epsrel)
+    return spectral_integral(f, p, t=t, kind="cos", upper=upper, epsabs=epsabs,
+                             epsrel=epsrel)
 
 
 def default_grid(p: SystemParams, n: int = 400, lo: float = 1e-4, hi: float = 4.0):
     """Logarithmic frequency grid resolving both the Ohmic limit and the resonance."""
     return np.logspace(math.log10(lo * p.omega_m), math.log10(hi * p.omega_m), n)
+
+
+def _checked_grid(p: SystemParams, grid) -> np.ndarray:
+    """``grid`` as a float array, default_grid(p) when None; every point finite and > 0."""
+    grid = default_grid(p) if grid is None else np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError("grid points must be finite and > 0")
+    return grid
 
 
 @dataclass
@@ -283,11 +291,9 @@ def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:
     """
     if p.gamma_m == 0.0 and p.g_c == 0.0:
         raise ValueError("parameters define no bath: need gamma_m > 0 or g_c > 0")
-    grid = default_grid(p) if grid is None else np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly ascending and positive")
+    grid = _checked_grid(p, grid)
+    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be a non-empty, strictly ascending 1-d array")
 
     inv = chi_q_inv(grid, p)
     pole = np.abs(inv) < _POLE_EPS
@@ -297,8 +303,5 @@ def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:
     if np.any(ok):
         j[ok] = j_eff(grid[ok], p)
         b[ok] = beta_eff(grid[ok], p)
-    flags = [
-        FLAG_POLE if pole[i] else (FLAG_NONTHERMAL if b[i] <= 0 else FLAG_OK)
-        for i in range(len(grid))
-    ]
+    flags = np.where(pole, FLAG_POLE, np.where(b <= 0, FLAG_NONTHERMAL, FLAG_OK)).tolist()
     return BathSpectrum(grid=grid, j_eff=j, beta_eff=b, flags=flags)

@@ -90,27 +90,23 @@ def check_flat_detuning(p: SystemParams | None = None) -> dict:
 
 
 def check_detailed_balance(p: SystemParams | None = None) -> dict:
-    """gamma_minus/gamma_plus = exp(Omega*beta_eff) on 100 points; lossless reduction."""
+    """gamma_minus/gamma_plus = exp(Omega*beta_eff), table and scalar rates; lossless reduction."""
     q = p if p is not None else fig1_cooled()
     if q.g_a == 0:
         return _result("detailed-balance", "skip", detail="g_a = 0: rates vanish")
     grid = spectrum.default_grid(q, n=100)
-    worst = 0.0
-    for w in grid:
-        gp, gm = rates.gamma_rates(w, q)
-        if gp == 0:
-            continue
-        expected = math.exp(w * spectrum.beta_eff(w, q))
-        worst = max(worst, abs(gm / gp - expected) / expected)
-    lossless = replace(q, kappa_a=0.0)
-    exact = True
-    for w in grid[::10]:
-        try:
-            exact = exact and (
-                rates.occupation_with_loss(w, lossless) == rates.occupation(w, lossless)
-            )
-        except rates.NonEquilibriumError:
-            continue  # gain-regime point: no occupation on either route
+    table = rates.compute_rates(q, grid)
+    # gamma_rates is the public scalar route to the same rates, so its rows
+    # must balance too; perfbench's rates.gamma_rates layer times these calls.
+    scalar = [(w, *rates.gamma_rates(w, q)) for w in grid[::10]]
+    array = np.column_stack([grid, table.gamma_plus, table.gamma_minus])
+    omega, gp, gm = np.vstack([array, scalar]).T
+    emits = gp != 0
+    expected = np.exp(omega[emits] * spectrum.beta_eff(omega[emits], q))
+    worst = float(np.max(np.abs(gm[emits] / gp[emits] - expected) / expected, initial=0.0))
+    lossless = rates.compute_rates(replace(q, kappa_a=0.0), grid[::10])
+    # NaN on both routes marks a gain-regime point with no occupation
+    exact = bool(np.array_equal(lossless.n_bar_lossy, lossless.n_bar, equal_nan=True))
     ok = worst <= 1e-12 and exact
     return _passfail("detailed-balance", ok, worst, 1e-12,
                      f"worst ratio error {worst:.2e}, lossless reduction exact: {exact}")
@@ -155,16 +151,23 @@ def check_stability_oracle(p: SystemParams | None = None, *, seed: int = 2024080
     )
 
 
-def check_representation_equivalence(p: SystemParams | None = None) -> dict:
-    """c_qq_total vs the (j_eff, beta_eff) integral at t in {0, 0.5, 1, 5}."""
+def _white_noise_point(name: str, p: SystemParams | None, no_cooling: str):
+    """(p or fig1-cooled at gamma_m = 0, None), or (None, skip result) without a steady state."""
     q = replace(p if p is not None else fig1_cooled(), gamma_m=0.0)
     if q.g_c == 0:
-        return _result("representation-equivalence", "skip",
-                       detail="g_c = 0: correlations vanish at gamma_m = 0")
+        return None, _result(name, "skip", detail=f"g_c = 0: {no_cooling}")
     _, verdict = stability.eigen_stable(stability.drift_matrix_qc(q))
     if verdict != stability.STABLE:
-        return _result("representation-equivalence", "skip",
-                       detail=f"parameters not strictly stable ({verdict})")
+        return None, _result(name, "skip", detail=f"parameters not strictly stable ({verdict})")
+    return q, None
+
+
+def check_representation_equivalence(p: SystemParams | None = None) -> dict:
+    """c_qq_total vs the (j_eff, beta_eff) integral at t in {0, 0.5, 1, 5}."""
+    q, skip = _white_noise_point("representation-equivalence", p,
+                                 "correlations vanish at gamma_m = 0")
+    if skip:
+        return skip
     worst = 0.0
     for t in (0.0, 0.5, 1.0, 5.0):
         a = correlation.c_qq_total(t, q)
@@ -178,14 +181,10 @@ def check_variance_consistency(p: SystemParams | None = None, *, seed: int = 7,
                                n_traj: int = 1000) -> dict:
     """Lyapunov <Q^2> vs the spectral integral, then Monte Carlo vs Lyapunov."""
     t0 = time.monotonic()
-    q = replace(p if p is not None else fig1_cooled(), gamma_m=0.0)
-    if q.g_c == 0:
-        return _result("variance-consistency", "skip",
-                       detail="g_c = 0: no steady covariance at gamma_m = 0")
-    _, verdict = stability.eigen_stable(stability.drift_matrix_qc(q))
-    if verdict != stability.STABLE:
-        return _result("variance-consistency", "skip",
-                       detail=f"parameters not strictly stable ({verdict})")
+    q, skip = _white_noise_point("variance-consistency", p,
+                                 "no steady covariance at gamma_m = 0")
+    if skip:
+        return skip
     v = correlation.lyapunov_covariance(q)
     c0 = correlation.c_qq_representation(0.0, q).real
     spectral = q.omega_m * c0
@@ -211,16 +210,11 @@ def check_reduction_chain(p: SystemParams | None = None) -> dict:
         return _result("reduction-chain", "skip", detail="requires red detuning")
     grid = spectrum.default_grid(q, n=100)
     cooled = replace(q, gamma_m=0.0, g_c=q.g_c if q.g_c > 0 else 0.45)
-    worst = max(
-        abs(spectrum.beta_eff(w, cooled) - spectrum.beta_opt(w, cooled))
-        / abs(spectrum.beta_opt(w, cooled))
-        for w in grid
-    )
+    opt = spectrum.beta_opt(grid, cooled)
+    worst = float(np.max(np.abs(spectrum.beta_eff(grid, cooled) - opt) / np.abs(opt)))
     eta_rel = abs(spectrum.eta_eff(cooled) - spectrum.eta_opt(cooled)) / spectrum.eta_opt(cooled)
     bare = replace(q, g_c=0.0, gamma_m=q.gamma_m if q.gamma_m > 0 else 1e-6)
-    worst_bare = max(
-        abs(spectrum.beta_eff(w, bare) - bare.beta) / bare.beta for w in grid
-    )
+    worst_bare = float(np.max(np.abs(spectrum.beta_eff(grid, bare) - bare.beta) / bare.beta))
     worst_all = max(worst, eta_rel, worst_bare)
     return _passfail("reduction-chain", worst_all <= 1e-12, worst_all, 1e-12,
                      f"beta_opt {worst:.2e}, eta {eta_rel:.2e}, bare {worst_bare:.2e}")
@@ -236,14 +230,9 @@ def check_lowfreq_bandwidth(p: SystemParams | None = None) -> dict:
     cooled, bare = fig1_cooled(), fig1_bare()
     grid = spectrum.default_grid(cooled)
     grid = grid[grid < 0.5 * cooled.omega_m]
-    net = {}
-    for tag, q in (("cooled", cooled), ("bare", bare)):
-        total = 0.0
-        for w in grid:
-            gp, gm = rates.gamma_rates(w, q)
-            total += gm - gp
-        net[tag] = total
-    ratio = net["cooled"] / net["bare"]
+    tables = [rates.compute_rates(q, grid) for q in (cooled, bare)]
+    cooled_net, bare_net = (float(np.sum(t.gamma_minus - t.gamma_plus)) for t in tables)
+    ratio = cooled_net / bare_net
     return _passfail("lowfreq-bandwidth", ratio > 1e3, ratio, 1e3,
                      f"net-rate ratio {ratio:.3e} over {len(grid)} points")
 

@@ -245,6 +245,16 @@ class TestExitCodes:
                        "--var2", "g_c", "--count1", "3", "--count2", "3") == 2
         assert "g_c" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("rates", "--preset", "fig1-cooled", "--grid-max", "inf", "--grid-count", "3"),
+        ("spectrum", "--preset", "fig1-cooled", "--grid-max", "inf"),
+        ("rates", "--omega-a", "nan", "--nu-b", "0"),
+        ("stability", "--preset", "fig1-cooled", "--max1", "inf"),
+    ])
+    def test_non_finite_grid_is_config_error(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_nonpositive_lin_grid_is_config_error(self):
         assert run_cli("rates", "--preset", "fig1-cooled", "--grid-scale", "lin",
                        "--grid-min", "0", "--grid-max", "1") == 2
@@ -283,6 +293,15 @@ class TestExitCodes:
                        "-o", str(out)) == 0
         _, rows = read_csv(out)
         assert all(float(r[1]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("key, value", [("d", "inf"), ("mass", True), ("r_m", "0.5")])
+    def test_hardware_block_requires_finite_numbers(self, tmp_path, key, value, capsys):
+        hardware = {"r_m": 0.2, "omega_0": 1.216e15, "d": 0.01, "L": 0.04, "l": 0.015,
+                    "b_s": 2.4e4, "mass": 8.0e-11, "omega_m_si": 2 * math.pi * 3.0e5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"hardware": {**hardware, key: value}}))
+        assert run_cli("rates", "--config", str(path), "--grid-count", "5") == 2
+        assert f"hardware {key} must be a finite real number" in capsys.readouterr().err
 
     def test_subprocess_entry_point(self, tmp_path):
         result = subprocess.run(

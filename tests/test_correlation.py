@@ -56,6 +56,20 @@ class TestOpticalContribution:
         assert val.imag == 0
         assert val.real > 0
 
+    def test_equal_time_against_dense_trapezoid(self, fig1):
+        # independent fixed-grid route, sideband Lorentzians written out here
+        w = np.unique(np.concatenate([np.linspace(1e-8, 5.0, 200001),
+                                      np.geomspace(5.0, 1e3, 20000)]))
+        kc, dc = fig1.kappa_c, fig1.delta_c
+
+        def lorentz(x):
+            return kc / (2 * np.pi) / ((x + dc) ** 2 + kc**2 / 4)
+
+        mod2 = np.abs(chi_q(w, fig1)) ** 2
+        f = 2 * fig1.g_c**2 * fig1.omega_m * mod2 * (lorentz(w) + lorentz(-w))
+        oracle = np.trapezoid(f, w)
+        assert c_qq_optical(0.0, fig1).real == pytest.approx(oracle, rel=1e-6)
+
     def test_net_cooling_sign(self, fig1):
         # red detuning damps: the odd part of the correlation starts negative
         assert c_qq_optical(0.1, fig1).imag < 0
@@ -95,11 +109,14 @@ class TestTotalAndRepresentation:
 
 
 class TestCorrelationSeries:
-    def test_matches_adaptive_route(self, fig1_cold):
+    @pytest.mark.parametrize("which", ["thermal", "optical", "total"])
+    def test_matches_adaptive_route(self, fig1, which):
+        # fig1 couples both contributions, so every branch of the integrand runs
+        adaptive = {"thermal": c_qq_thermal, "optical": c_qq_optical, "total": c_qq_total}
         times = np.array([0.0, 0.5, 1.0, 5.0])
-        series = correlation_series(fig1_cold, times, which="total")
+        series = correlation_series(fig1, times, which=which)
         for t, v in zip(times, series.values):
-            ref = c_qq_total(t, fig1_cold)
+            ref = adaptive[which](t, fig1)
             assert abs(v - ref) / abs(ref) < 1e-3
 
     def test_matches_adaptive_route_with_narrow_resonance(self, fig1_bare):

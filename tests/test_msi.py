@@ -53,6 +53,9 @@ class TestMsiCoupling:
             {"omega_0": -1e15},
             {"d": 0.0},
             {"L": -0.1},
+            {"omega_0": math.nan},
+            {"d": math.inf},
+            {"r_m": "0.5"},
         ],
     )
     def test_geometry_validation(self, kwargs):

@@ -189,6 +189,11 @@ class TestRateTable:
         table = compute_rates(lossy, default_grid(fig1, n=20))
         assert np.all(table.n_bar_lossy < table.n_bar)
 
+    @pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.3, np.nan]])
+    def test_rejects_non_finite_grid(self, fig1, grid):
+        with pytest.raises(ValueError, match="finite"):
+            compute_rates(fig1, grid)
+
 
 @pytest.mark.parametrize("delta_c,kappa_a", [(-1.0, 0.0), (-1.0, 0.3), (1.0, 0.0),
                                              (1.0, 0.5), (0.6, 1.0)])

@@ -354,3 +354,8 @@ class TestBathSpectrumObject:
             compute_spectrum(fig1, np.array([0.2, 0.1]))
         with pytest.raises(ValueError):
             compute_spectrum(fig1, np.array([-0.1, 0.2]))
+
+    @pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.1, np.nan, 0.3]])
+    def test_rejects_non_finite_grid(self, fig1, grid):
+        with pytest.raises(ValueError, match="finite"):
+            compute_spectrum(fig1, grid)

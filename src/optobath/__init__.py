@@ -64,6 +64,7 @@ from .stability import (
     UNSTABLE,
     StabilityMap,
     StabilityReport,
+    UnstableError,
     drift_matrix_full,
     drift_matrix_qc,
     eigen_stable,

@@ -89,8 +89,7 @@ def _segment(f, lo, hi, t, kind, epsabs, epsrel, inner_points):
 
 
 def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain",
-                      upper: float | None = None, epsabs: float = 1e-10,
-                      epsrel: float = 1e-8) -> float:
+                      epsabs: float = 1e-10, epsrel: float = 1e-8) -> float:
     """Integrate f(omega) [* cos/sin(omega*t)] over (0, cutoff], piecewise.
 
     ``kind`` selects the weight: "plain", "cos" or "sin". At t = 0 the
@@ -100,7 +99,7 @@ def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain"
     """
     if (p.g_c == 0.0 and p.gamma_m == 0.0) or (kind == "sin" and t == 0):
         return 0.0
-    hi = frequency_cutoff(p) if upper is None else upper
+    hi = frequency_cutoff(p)
     inner = breakpoints(p)
     edges = [0.0] + [x for x in inner if x < hi] + [hi]
     if kind != "plain" and t * edges[1] >= _OSC_PERIODS * 2.0 * np.pi:

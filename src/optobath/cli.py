@@ -166,10 +166,7 @@ def cmd_rates(args) -> int:
     if (args.omega_a is None) != (args.nu_b is None):
         raise ValueError("--omega-a and --nu-b must be given together")
     if args.omega_a is not None:
-        omega = args.omega_a - args.nu_b
-        if not (math.isfinite(omega) and omega > 0):
-            raise ValueError("omega_a - nu_b must be finite and positive")
-        grid = np.array([omega])
+        grid = np.array([args.omega_a - args.nu_b])
     else:
         grid = make_grid(args.grid_min, args.grid_max, args.grid_count, args.grid_scale)
     _write(compute_rates(p, grid), args)

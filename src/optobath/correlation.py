@@ -22,10 +22,10 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from . import _table
 from ._quad import frequency_cutoff, resonance_peak, spectral_integral
-from .params import SystemParams
+from .params import SystemParams, finite_real, finite_reals
 from .response import chi_q, lorentzian, lorentzian_asymmetry
 from .spectrum import beta_eff, j_eff, ohmic_j
-from .stability import STABLE, drift_matrix_qc, eigen_stable
+from .stability import require_stable
 
 
 def _integrands(p: SystemParams, which: str):
@@ -65,6 +65,7 @@ def _integrands(p: SystemParams, which: str):
 
 def _adaptive(p: SystemParams, t: float, pair) -> complex:
     """integral f_cos(w) cos(wt) - i f_sin(w) sin(wt) adaptively, as conj C(-t) at t < 0."""
+    t = finite_real("t", t)
     if pair is None:
         return 0.0 + 0.0j
     f_cos, f_sin = pair
@@ -158,7 +159,7 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     the adaptive c_qq_* functions.
     """
     pair = _integrands(p, which)
-    times = np.asarray(times, dtype=float)
+    times = finite_reals("times", times)
     w = _dense_frequency_grid(p, n_freq)
     f_cos, f_sin = (np.zeros_like(w), np.zeros_like(w)) if pair is None else (f(w) for f in pair)
 
@@ -186,19 +187,15 @@ def _white_noise_drift(p: SystemParams, oracle: str) -> np.ndarray:
     """The 4x4 drift matrix, if p is a strictly stable point at gamma_m = 0."""
     if p.gamma_m != 0.0:
         raise ValueError(f"{oracle} oracle requires gamma_m = 0 (thermal noise is colored)")
-    a = drift_matrix_qc(p)
-    abscissa, verdict = eigen_stable(a)
-    if verdict != STABLE:
-        raise ValueError(f"drift matrix not strictly stable (abscissa {abscissa:.3e})")
-    return a
+    return require_stable(p)
 
 
 def lyapunov_covariance(p: SystemParams) -> np.ndarray:
     """Steady-state covariance V solving A V + V A^T + D = 0.
 
     Valid only at gamma_m = 0 (all noise white) and for a strictly stable
-    drift matrix. The residual of the returned solution is checked below
-    1e-10 before it is handed back.
+    drift matrix (UnstableError otherwise). The residual of the returned
+    solution is checked below 1e-10 before it is handed back.
     """
     a = _white_noise_drift(p, "Lyapunov")
     d = diffusion_matrix(p)
@@ -232,8 +229,12 @@ def langevin_trajectory(p: SystemParams, *, seed: int, duration: float = 200.0,
     (unstable parameters slipped through).
     """
     a = _white_noise_drift(p, "trajectory")
-    if dt > 0.01 / max(p.omega_m, p.kappa_c):
-        raise ValueError("dt too coarse: require dt <= 0.01/max(omega_m, kappa_c)")
+    if not 0 < dt <= 0.01 / max(p.omega_m, p.kappa_c):
+        raise ValueError("dt must satisfy 0 < dt <= 0.01/max(omega_m, kappa_c)")
+    if not dt <= duration < math.inf:
+        raise ValueError("duration must be finite and at least one step dt")
+    if n_traj < 2:
+        raise ValueError("n_traj must be >= 2: the standard error is over trajectories")
 
     n_steps = int(round(duration / dt))
     n_burn = min(int(round(burn_in / dt)), n_steps - 1)

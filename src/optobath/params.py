@@ -25,6 +25,21 @@ def finite_real(name: str, value) -> float:
     return float(value)
 
 
+def finite_reals(name: str, values) -> np.ndarray:
+    """``values`` as a float array if every entry is finite; else ValueError."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite real numbers")
+    return values
+
+
+def check_frequency(name: str, omega, *, allow_zero: bool = False) -> None:
+    """ValueError unless every omega is finite and > 0 (>= 0 with allow_zero); only inspects."""
+    w = np.asarray(omega)
+    if not (((w >= 0) if allow_zero else (w > 0)) & (w < math.inf)).all():
+        raise ValueError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical rates, detunings and couplings of the driven system.
@@ -36,11 +51,9 @@ class SystemParams:
 
     omega_m: float = 1.0     # mechanical frequency, the global unit
     gamma_m: float = 0.0     # mechanical damping rate, >= 0
-    kappa_b: float = 1.0     # beam-splitter cavity linewidth, > 0
     kappa_c: float = 1.0     # cooling cavity linewidth, > 0
     kappa_a: float = 0.0     # system cavity loss, >= 0 (0 = perfect cavity)
     delta_a: float = -1.0    # drive-frame detuning of the system mode
-    delta_b: float = 0.0     # detuning of the beam-splitter drive
     delta_c: float = -SQRT3 / 2.0  # detuning of the cooling drive (signed)
     g_a: float = 0.0         # pump-enhanced system-bath coupling, >= 0
     g_c: float = 0.0         # pump-enhanced cooling coupling, >= 0
@@ -50,7 +63,7 @@ class SystemParams:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, finite_real(f.name, getattr(self, f.name)))
-        positive = ("omega_m", "kappa_b", "kappa_c", "beta", "cutoff")
+        positive = ("omega_m", "kappa_c", "beta", "cutoff")
         nonneg = ("gamma_m", "kappa_a", "g_a", "g_c")
         for name in positive:
             if not getattr(self, name) > 0:

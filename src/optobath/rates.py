@@ -27,7 +27,7 @@ def _noise_sides(omega, p: SystemParams):
 
     The one evaluation path of every rate quantity: j_eff and beta_eff are
     evaluated once and n_eff = 1/expm1(Omega*beta_eff) is the raw Bose
-    factor, negative in the gain regime.
+    factor, negative in the gain regime. j_eff checks Omega for every caller.
     """
     j = j_eff(omega, p)
     be = beta_eff(omega, p)
@@ -47,8 +47,6 @@ def s_qq(omega: float, p: SystemParams) -> float:
     with n_eff the Bose function at beta_eff(|omega|). The asymmetry of the
     two sides encodes the effective temperature.
     """
-    if omega == 0:
-        raise ValueError("s_qq requires omega != 0")
     absorption, emission, _, _ = _noise_sides(abs(omega), p)
     return float(emission if omega > 0 else absorption)
 
@@ -60,8 +58,6 @@ def gamma_rates(omega: float, p: SystemParams) -> tuple[float, float]:
     gamma_minus = (g_a^2/q_zpf^2) S(+Omega) = 4 g_a^2 omega_m j_eff (n_eff+1);
     their difference is the net thermalization rate 4 g_a^2 omega_m j_eff.
     """
-    if omega <= 0:
-        raise ValueError("gamma_rates requires Omega > 0")
     absorption, emission, _, _ = _noise_sides(omega, p)
     pref = _rate_prefactor(p)
     return float(pref * absorption), float(pref * emission)
@@ -84,8 +80,6 @@ def occupation(omega: float, p: SystemParams, *, allow_gain: bool = False) -> fl
     In the gain regime (beta_eff <= 0) no equilibrium exists; the raw Bose
     expression is only returned behind ``allow_gain``.
     """
-    if omega <= 0:
-        raise ValueError("occupation requires Omega > 0")
     _, _, be, n = _noise_sides(omega, p)
     if be <= 0 and not allow_gain:
         raise NonEquilibriumError(
@@ -102,8 +96,6 @@ def occupation_with_loss(omega: float, p: SystemParams) -> float:
     the lossless occupation for kappa_a > 0, and undefined when loss plus
     absorption cannot beat emission.
     """
-    if omega <= 0:
-        raise ValueError("occupation_with_loss requires Omega > 0")
     if p.kappa_a == 0.0:
         return occupation(omega, p)
     gp, gm = gamma_rates(omega, p)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _table
 from ._quad import spectral_integral
-from .params import SystemParams, thermal_occupation
+from .params import SystemParams, check_frequency, finite_real, thermal_occupation
 from .response import (
     _POLE_EPS,
     PoleError,
@@ -48,8 +48,7 @@ def _r2(p: SystemParams) -> float:
 
 def ohmic_j(omega, p: SystemParams):
     """Ohmic mechanical spectral density gamma_m * omega * exp(-omega/cutoff)."""
-    if np.any(np.asarray(omega) < 0):
-        raise ValueError("ohmic_j requires omega >= 0")
+    check_frequency("ohmic_j: omega", omega, allow_zero=True)
     return p.gamma_m * omega * np.exp(-np.asarray(omega, dtype=float) / p.cutoff)
 
 
@@ -61,8 +60,7 @@ def j_eff(omega, p: SystemParams):
     asymmetry supplies the low-frequency support that the bare Ohmic bath,
     gated by the narrow mechanical resonance, lacks.
     """
-    if np.any(np.asarray(omega) <= 0):
-        raise ValueError("j_eff requires omega > 0")
+    check_frequency("j_eff: omega", omega)
     inv = chi_q_inv(omega, p)
     if np.any(np.abs(inv) < _POLE_EPS):
         raise PoleError("dressed susceptibility pole inside j_eff")
@@ -82,8 +80,7 @@ def beta_eff(omega, p: SystemParams):
     Negative values (population inversion, blue-detuned drive) are returned
     as data.
     """
-    if np.any(np.asarray(omega) <= 0):
-        raise ValueError("beta_eff requires omega > 0")
+    check_frequency("beta_eff: omega", omega)
     if p.gamma_m == 0.0 and p.g_c == 0.0:
         raise ValueError("no bath: gamma_m = 0 and g_c = 0")
     w = _coupling_weight(p)
@@ -111,6 +108,7 @@ def detailed_balance_coth(omega, p: SystemParams):
     Kept as an independent cross-check of beta_eff; the exponential form is
     the production path because inverting coth is ill-conditioned near 0.
     """
+    check_frequency("detailed_balance_coth: omega", omega)
     w = _coupling_weight(p)
     j = ohmic_j(omega, p)
     om = np.asarray(omega, dtype=float)
@@ -126,8 +124,7 @@ def beta_opt(omega, p: SystemParams):
                         / ((omega+delta_c)^2 + kappa_c^2/4);
     independent of g_c and gamma_m.
     """
-    if np.any(np.asarray(omega) <= 0):
-        raise ValueError("beta_opt requires omega > 0")
+    check_frequency("beta_opt: omega", omega)
     if p.delta_c == 0.0:
         raise ValueError("beta_opt requires delta_c != 0")
     den = (np.asarray(omega, dtype=float) + p.delta_c) ** 2 + p.kappa_c**2 / 4.0
@@ -228,19 +225,17 @@ def beta_eff_low_expansion(p: SystemParams) -> tuple[float, float]:
     return zeroth, first
 
 
-def damping_kernel(t: float, p: SystemParams, *, upper: float | None = None,
-                   epsabs: float = 1e-10, epsrel: float = 1e-8) -> float:
+def damping_kernel(t: float, p: SystemParams) -> float:
     """Time-domain damping kernel of the engineered bath.
 
     gamma_eff(t) = Theta(t) * (2/pi) * integral_0^inf (j_eff/omega) cos(omega t).
     In the low-frequency Ohmic regime the kernel is a near-delta whose
     running integral approaches eta_eff.
     """
-    if t < 0:
+    if finite_real("t", t) < 0:
         return 0.0
     f = lambda w: (2.0 / math.pi) * j_eff(w, p) / w
-    return spectral_integral(f, p, t=t, kind="cos", upper=upper, epsabs=epsabs,
-                             epsrel=epsrel)
+    return spectral_integral(f, p, t=t, kind="cos")
 
 
 def default_grid(p: SystemParams, n: int = 400, lo: float = 1e-4, hi: float = 4.0):
@@ -251,8 +246,7 @@ def default_grid(p: SystemParams, n: int = 400, lo: float = 1e-4, hi: float = 4.
 def _checked_grid(p: SystemParams, grid) -> np.ndarray:
     """``grid`` as a float array, default_grid(p) when None; every point finite and > 0."""
     grid = default_grid(p) if grid is None else np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ValueError("grid points must be finite and > 0")
+    check_frequency("grid points", grid)
     return grid
 
 

@@ -24,6 +24,14 @@ MARGINAL = "marginal"
 MARGIN = 1e-9
 
 
+class UnstableError(ValueError):
+    """No steady state: the 4x4 drift matrix is not strictly stable."""
+
+    def __init__(self, verdict: str, abscissa: float):
+        super().__init__(f"drift matrix not strictly stable (abscissa {abscissa:.3e})")
+        self.verdict = verdict
+
+
 def drift_matrices(c) -> np.ndarray:
     """Drift matrices over (Q, P, X_c, Y_c, X_a, Y_a), shape (..., 6, 6).
 
@@ -73,15 +81,15 @@ def routh_hurwitz_qc(p: SystemParams) -> tuple[float, bool]:
     return value, value > 0
 
 
-def _at_optimal(c, rtol: float = 1e-9):
+def _at_optimal(c):
     """Elementwise at_optimal_detuning over a field mapping of floats or arrays."""
     dc, kc = c["delta_c"], c["kappa_c"]
-    return (dc < 0) & (np.abs(4.0 * dc * dc - 3.0 * (kc * kc)) <= rtol * 3.0 * (kc * kc))
+    return (dc < 0) & (np.abs(4.0 * dc * dc - 3.0 * (kc * kc)) <= 1e-9 * 3.0 * (kc * kc))
 
 
-def at_optimal_detuning(p: SystemParams, rtol: float = 1e-9) -> bool:
-    """True when 4*delta_c^2 = 3*kappa_c^2 within rtol (red branch)."""
-    return bool(_at_optimal(vars(p), rtol))
+def at_optimal_detuning(p: SystemParams) -> bool:
+    """True when 4*delta_c^2 = 3*kappa_c^2 within 1e-9 relative (red branch)."""
+    return bool(_at_optimal(vars(p)))
 
 
 def analytic_criteria(c):
@@ -135,6 +143,15 @@ def eigen_stable(m: np.ndarray) -> tuple[float, str]:
     return float(abscissa), _verdicts(abscissa).item()
 
 
+def require_stable(p: SystemParams) -> np.ndarray:
+    """The 4x4 drift matrix of p if it is strictly stable, else UnstableError."""
+    a = drift_matrix_qc(p)
+    abscissa, verdict = eigen_stable(a)
+    if verdict != STABLE:
+        raise UnstableError(verdict, abscissa)
+    return a
+
+
 @dataclass
 class StabilityReport:
     """Analytic criterion values next to the eigenvalue verdict."""
@@ -149,14 +166,13 @@ class StabilityReport:
     eigenvalues: np.ndarray
 
 
-def stability_report(p: SystemParams, *, full: bool = True) -> StabilityReport:
+def stability_report(p: SystemParams) -> StabilityReport:
     """Evaluate every applicable criterion plus the eigenvalue oracle.
 
     Analytic fields are None where their validity conditions fail
     (off-optimal detuning for s1..s3, blue detuning for the 4x4 criterion).
     """
-    m = drift_matrix_full(p) if full else drift_matrix_qc(p)
-    abscissa, eigs = _abscissae(m)
+    abscissa, eigs = _abscissae(drift_matrix_full(p))
     s1 = s2 = s3 = None
     if at_optimal_detuning(p):
         s1, s2, s3, _ = full_criteria(p)

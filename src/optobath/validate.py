@@ -90,7 +90,11 @@ def check_flat_detuning(p: SystemParams | None = None) -> dict:
 
 
 def check_detailed_balance(p: SystemParams | None = None) -> dict:
-    """gamma_minus/gamma_plus = exp(Omega*beta_eff), table and scalar rates; lossless reduction."""
+    """gamma_minus/gamma_plus = exp(Omega*beta_eff), table and scalar rates; loss balance.
+
+    n_bar = gamma_plus/(gamma_minus - gamma_plus) to 8 eps (2 n_bar + 1) relative, the
+    cancellation of the difference (worst of 300 random stable points: 1.9).
+    """
     q = p if p is not None else fig1_cooled()
     if q.g_a == 0:
         return _result("detailed-balance", "skip", detail="g_a = 0: rates vanish")
@@ -104,12 +108,15 @@ def check_detailed_balance(p: SystemParams | None = None) -> dict:
     emits = gp != 0
     expected = np.exp(omega[emits] * spectrum.beta_eff(omega[emits], q))
     worst = float(np.max(np.abs(gm[emits] / gp[emits] - expected) / expected, initial=0.0))
-    lossless = rates.compute_rates(replace(q, kappa_a=0.0), grid[::10])
-    # NaN on both routes marks a gain-regime point with no occupation
-    exact = bool(np.array_equal(lossless.n_bar_lossy, lossless.n_bar, equal_nan=True))
-    ok = worst <= 1e-12 and exact
+    # NaN n_bar marks a gain-regime row with no occupation
+    rows = (table.n_bar > 0) & (table.gamma_plus > 0)
+    n_bar, gp, gm = table.n_bar[rows], table.gamma_plus[rows], table.gamma_minus[rows]
+    gap = np.abs(gp / (gm - gp) - n_bar) / (n_bar * np.finfo(float).eps * (2.0 * n_bar + 1.0))
+    balance = float(np.max(gap, initial=0.0))
+    ok = worst <= 1e-12 and balance <= 8.0
     return _passfail("detailed-balance", ok, worst, 1e-12,
-                     f"worst ratio error {worst:.2e}, lossless reduction exact: {exact}")
+                     f"worst ratio error {worst:.2e}, loss-balance error "
+                     f"{balance:.2f} eps (2 n_bar + 1), bound 8")
 
 
 def check_stability_oracle(p: SystemParams | None = None, *, seed: int = 20240801,
@@ -156,9 +163,11 @@ def _white_noise_point(name: str, p: SystemParams | None, no_cooling: str):
     q = replace(p if p is not None else fig1_cooled(), gamma_m=0.0)
     if q.g_c == 0:
         return None, _result(name, "skip", detail=f"g_c = 0: {no_cooling}")
-    _, verdict = stability.eigen_stable(stability.drift_matrix_qc(q))
-    if verdict != stability.STABLE:
-        return None, _result(name, "skip", detail=f"parameters not strictly stable ({verdict})")
+    try:
+        stability.require_stable(q)
+    except stability.UnstableError as exc:
+        return None, _result(name, "skip",
+                             detail=f"parameters not strictly stable ({exc.verdict})")
     return q, None
 
 

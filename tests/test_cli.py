@@ -294,6 +294,13 @@ class TestExitCodes:
         _, rows = read_csv(out)
         assert all(float(r[1]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("key", ["kappa_b", "delta_b"])
+    def test_config_with_removed_parameter_is_config_error(self, tmp_path, key, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"g_c": 0.45, key: 1.0}))
+        assert run_cli("spectrum", "--config", str(path), "--grid-count", "5") == 2
+        assert "unknown parameter(s)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("d", "inf"), ("mass", True), ("r_m", "0.5")])
     def test_hardware_block_requires_finite_numbers(self, tmp_path, key, value, capsys):
         hardware = {"r_m": 0.2, "omega_0": 1.216e15, "d": 0.01, "L": 0.04, "l": 0.015,
@@ -318,7 +325,6 @@ def test_parameter_flags_follow_system_params(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     names = [f.name for f in fields(SystemParams)]
     flags = [a.option_strings for a in sub.choices[command]._actions if a.dest in names]
-    assert flags == [["--omega-m"], ["--gamma-m"], ["--kappa-b"], ["--kappa-c"], ["--kappa-a"],
-                     ["--delta-a"], ["--delta-b"], ["--delta-c"], ["--ga"], ["--gc"],
-                     ["--beta"], ["--cutoff"]]
+    assert flags == [["--omega-m"], ["--gamma-m"], ["--kappa-c"], ["--kappa-a"],
+                     ["--delta-a"], ["--delta-c"], ["--ga"], ["--gc"], ["--beta"], ["--cutoff"]]
     assert [a.dest for a in sub.choices[command]._actions if a.dest in names] == names

@@ -207,3 +207,13 @@ class TestLangevinTrajectory:
     def test_rejects_unstable_parameters(self, fig1_cold):
         with pytest.raises(ValueError, match="stable"):
             langevin_trajectory(replace(fig1_cold, g_c=0.7), seed=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(duration=0.001, dt=0.002),
+        dict(duration=0.0, dt=0.002),
+        dict(duration=1.0, dt=-0.002),
+        dict(duration=1.0, dt=0.002, n_traj=1),
+    ], ids=["duration_below_dt", "zero_duration", "negative_dt", "one_trajectory"])
+    def test_rejects_arguments_without_moments(self, fig1_cold, kwargs):
+        with pytest.raises(ValueError):
+            langevin_trajectory(fig1_cold, seed=1, burn_in=0.0, **kwargs)

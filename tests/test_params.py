@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +7,13 @@ from hypothesis import given, strategies as st
 from optobath import (
     DriveSpec,
     SystemParams,
+    compute_rates,
+    compute_spectrum,
+    default_grid,
     equilibrium_displacement,
     optimal_detuning,
     pump_coupling,
+    stability_map,
     steady_state_amplitude,
     thermal_occupation,
 )
@@ -27,7 +31,6 @@ class TestSystemParams:
             ("omega_m", 0.0),
             ("kappa_c", -1.0),
             ("kappa_c", 0.0),
-            ("kappa_b", 0.0),
             ("beta", 0.0),
             ("cutoff", -2.0),
             ("gamma_m", -1e-9),
@@ -70,6 +73,18 @@ class TestSystemParams:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             SystemParams.from_dict({"g_q": 1.0})
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SystemParams)])
+    def test_every_field_reaches_an_output(self, fig1, name):
+        # a field that no spectrum, rate table or stability raster reads is
+        # a setting that does nothing
+        def outputs(p):
+            grid = default_grid(p, n=20)
+            return (compute_spectrum(p, grid).to_csv(), compute_rates(p, grid).to_csv(),
+                    stability_map(p, "g_c", [0.1, 0.3], "g_a", [0.1, 0.3]).to_csv())
+
+        perturbed = replace(fig1, **{name: getattr(fig1, name) * 1.1 + 0.01})
+        assert outputs(perturbed) != outputs(fig1)
 
 
 class TestSteadyStateAmplitude:

@@ -10,16 +10,19 @@ from optobath import (
     STABLE,
     UNSTABLE,
     SystemParams,
+    UnstableError,
     drift_matrix_full,
     drift_matrix_qc,
     eigen_stable,
     full_criteria,
     g_c_max,
+    langevin_trajectory,
+    lyapunov_covariance,
     routh_hurwitz_qc,
     stability_map,
     stability_report,
 )
-from optobath.stability import at_optimal_detuning
+from optobath.stability import at_optimal_detuning, require_stable
 from optobath.validate import fig1_cooled
 
 SQRT3 = math.sqrt(3.0)
@@ -171,6 +174,24 @@ class TestEigenStable:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             eigen_stable(np.array([[np.nan, 0.0], [0.0, -1.0]]))
+
+
+class TestRequireStable:
+    def test_returns_drift_matrix_at_stable_point(self, fig1_cold):
+        assert np.array_equal(require_stable(fig1_cold), drift_matrix_qc(fig1_cold))
+
+    @pytest.mark.parametrize("g_c, verdict", [(0.7, UNSTABLE), (0.0, MARGINAL)])
+    def test_names_the_verdict(self, fig1_cold, g_c, verdict):
+        with pytest.raises(UnstableError) as exc:
+            require_stable(replace(fig1_cold, g_c=g_c))
+        assert exc.value.verdict == verdict
+
+    def test_white_noise_oracles_use_it(self, fig1_cold):
+        unstable = replace(fig1_cold, g_c=0.7)
+        with pytest.raises(UnstableError):
+            lyapunov_covariance(unstable)
+        with pytest.raises(UnstableError):
+            langevin_trajectory(unstable, seed=1)
 
 
 @settings(max_examples=300, deadline=None)

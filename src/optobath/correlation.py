@@ -3,7 +3,8 @@
 Everything here exists to validate the spectral shortcuts elsewhere in the
 package by an independent route: direct quadrature of the coordinate
 autocorrelation, the steady-state covariance from the Lyapunov equation, and
-Euler-Maruyama ensembles of the quadrature Langevin dynamics. Each
+ensembles of the quadrature Langevin dynamics stepped by their exact Gaussian
+transition, where dt sets only how often a trajectory is sampled. Each
 contribution to the autocorrelation has one array-native integrand, shared by
 the adaptive c_qq_* oracles and the fixed-grid correlation_series;
 c_qq_total is one integral of the summed integrand. The white-noise
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from . import _table
 from ._quad import frequency_cutoff, resonance_peak, spectral_integral
@@ -221,44 +222,39 @@ class SampleMoments:
 def langevin_trajectory(p: SystemParams, *, seed: int, duration: float = 200.0,
                         dt: float = 0.004, n_traj: int = 1000,
                         burn_in: float = 50.0) -> SampleMoments:
-    """Euler-Maruyama ensemble moments of the white-noise quadrature dynamics.
+    """Ensemble moments of the white-noise quadrature dynamics, stepped exactly.
 
-    Each trajectory's post-burn-in time average of u_i^2 counts as one
-    sample; the returned stderr is over trajectories, which absorbs the
-    autocorrelation within a run. Aborts if any trajectory diverges
-    (unstable parameters slipped through).
+    Each step u <- u F^T + xi R is the exact Gaussian transition over dt, with
+    F = exp(A dt) and R the symmetric square root of the step's noise
+    covariance Q, so dt only sets how often a trajectory is sampled. Each
+    trajectory's post-burn-in time average of u_i^2 counts as one sample;
+    the returned stderr is over trajectories, which absorbs the
+    autocorrelation within a run.
     """
     a = _white_noise_drift(p, "trajectory")
-    if not 0 < dt <= 0.01 / max(p.omega_m, p.kappa_c):
-        raise ValueError("dt must satisfy 0 < dt <= 0.01/max(omega_m, kappa_c)")
-    if not dt <= duration < math.inf:
-        raise ValueError("duration must be finite and at least one step dt")
-    if n_traj < 2:
-        raise ValueError("n_traj must be >= 2: the standard error is over trajectories")
+    if not (0 < dt <= duration < math.inf and 0 <= burn_in < duration and n_traj >= 2):
+        raise ValueError("need 0 < dt <= duration < inf, 0 <= burn_in < duration, n_traj >= 2")
+    n_steps = round(duration / dt)
+    n_burn = round(burn_in / dt)
+    if n_burn >= n_steps:
+        raise ValueError("burn_in leaves no step to average at this dt")
 
-    n_steps = int(round(duration / dt))
-    n_burn = min(int(round(burn_in / dt)), n_steps - 1)
+    # Van Loan: expm([[-A, D], [0, A^T]] dt) = [[., F^-1 Q], [0, F^T]]. Noise enters
+    # through the cavity alone, so Q is rank-deficient to rounding at small dt.
+    m = expm(np.block([[-a, diffusion_matrix(p)], [np.zeros((4, 4)), a.T]]) * dt)
+    f_t = m[4:, 4:]
+    w, v = np.linalg.eigh(f_t.T @ m[:4, 4:])
+    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     rng = np.random.default_rng(seed)
-    step = np.eye(4) + a.T * dt
-    sqrt_d = np.sqrt(np.diag(diffusion_matrix(p)) * dt)
-
     u = np.zeros((n_traj, 4))
     acc = np.zeros((n_traj, 4))
-    count = 0
     for i in range(n_steps):
-        u = u @ step + rng.standard_normal((n_traj, 4)) * sqrt_d
+        u = u @ f_t + rng.standard_normal((n_traj, 4)) @ r
         if i >= n_burn:
             acc += u * u
-            count += 1
-        if i % 2000 == 0 and not np.all(np.isfinite(u)):
-            raise RuntimeError(f"trajectory diverged at t = {i * dt:.1f}")
     if not np.all(np.isfinite(acc)):
         raise RuntimeError("trajectory diverged before the final step")
-    per_traj = acc / count
-    return SampleMoments(
-        second=per_traj.mean(axis=0),
-        stderr=per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj),
-        n_traj=n_traj,
-        n_samples=count,
-        seed=seed,
-    )
+    per_traj = acc / (n_steps - n_burn)
+    return SampleMoments(second=per_traj.mean(axis=0),
+                         stderr=per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj),
+                         n_traj=n_traj, n_samples=n_steps - n_burn, seed=seed)

@@ -46,6 +46,12 @@ def _r2(p: SystemParams) -> float:
     return p.delta_c**2 + p.kappa_c**2 / 4.0
 
 
+def _require_bath(p: SystemParams) -> None:
+    """ValueError unless gamma_m > 0 or g_c^2 > 0 (a g_c^2 that underflows couples nothing)."""
+    if p.gamma_m == 0.0 and p.g_c**2 == 0.0:
+        raise ValueError("no bath: gamma_m = 0 and g_c^2 = 0")
+
+
 def ohmic_j(omega, p: SystemParams):
     """Ohmic mechanical spectral density gamma_m * omega * exp(-omega/cutoff)."""
     check_frequency("ohmic_j: omega", omega, allow_zero=True)
@@ -81,8 +87,7 @@ def beta_eff(omega, p: SystemParams):
     as data.
     """
     check_frequency("beta_eff: omega", omega)
-    if p.gamma_m == 0.0 and p.g_c == 0.0:
-        raise ValueError("no bath: gamma_m = 0 and g_c = 0")
+    _require_bath(p)
     w = _coupling_weight(p)
     j = ohmic_j(omega, p)
     nbar = thermal_occupation(omega, p.beta)
@@ -200,10 +205,9 @@ def beta_eff_low(p: SystemParams) -> float:
     beta_eff(0) = beta * (gamma_m*r2^2 - 4 g_c^2 delta_c kappa_c omega_m)
                   / (r2 * (gamma_m*r2 + g_c^2 beta kappa_c omega_m)).
     """
+    _require_bath(p)
     r2 = _r2(p)
     den = r2 * (p.gamma_m * r2 + p.g_c**2 * p.beta * p.kappa_c * p.omega_m)
-    if not den > 0:
-        raise ValueError("no bath: gamma_m = 0 and g_c = 0")
     num = p.beta * (p.gamma_m * r2**2 - 4.0 * p.g_c**2 * p.delta_c * p.kappa_c * p.omega_m)
     return num / den
 
@@ -283,8 +287,7 @@ def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:
     and carry NaN; points with beta_eff <= 0 are flagged "nonthermal" but
     keep their values so blue-detuned sweeps still render.
     """
-    if p.gamma_m == 0.0 and p.g_c == 0.0:
-        raise ValueError("parameters define no bath: need gamma_m > 0 or g_c > 0")
+    _require_bath(p)
     grid = _checked_grid(p, grid)
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a non-empty, strictly ascending 1-d array")

@@ -199,7 +199,7 @@ def check_variance_consistency(p: SystemParams | None = None, *, seed: int = 7,
     spectral = q.omega_m * c0
     rel = abs(v[0, 0] - spectral) / spectral
 
-    mc = correlation.langevin_trajectory(q, seed=seed, duration=200.0, dt=0.002,
+    mc = correlation.langevin_trajectory(q, seed=seed, duration=200.0, dt=0.05,
                                          n_traj=n_traj)
     dev = abs(mc.second[0] - v[0, 0]) / mc.stderr[0]
     elapsed = time.monotonic() - t0

@@ -262,6 +262,12 @@ class TestExitCodes:
     def test_no_bath_is_config_error(self):
         assert run_cli("spectrum", "--gc", "0") == 2
 
+    def test_no_bath_message_is_shared(self):
+        results = [run_cli_text(command, "--gamma-m", "0", "--gc", "0")
+                   for command in ("spectrum", "rates")]
+        assert [code for code, _, _ in results] == [2, 2]
+        assert results[0][2] == results[1][2] != ""
+
     @pytest.mark.parametrize("command", ["rates", "stability", "validate"])
     def test_fig3_preset_only_for_spectrum(self, command):
         # only spectrum honours the family; elsewhere it would run on defaults

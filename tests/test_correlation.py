@@ -200,9 +200,12 @@ class TestLangevinTrajectory:
         assert np.array_equal(a.second, b.second)
         assert np.array_equal(a.stderr, b.stderr)
 
-    def test_rejects_coarse_step(self, fig1_cold):
-        with pytest.raises(ValueError, match="dt"):
-            langevin_trajectory(fig1_cold, seed=1, dt=0.1)
+    def test_coarse_step_is_exact(self, fig1_cold):
+        # the exact Gaussian step has no discretization error, so a coarse dt
+        # still samples the stationary covariance
+        v = lyapunov_covariance(fig1_cold)
+        mom = langevin_trajectory(fig1_cold, seed=1, dt=0.1, n_traj=300)
+        assert abs(mom.second[0] - v[0, 0]) <= 3.0 * mom.stderr[0]
 
     def test_rejects_unstable_parameters(self, fig1_cold):
         with pytest.raises(ValueError, match="stable"):
@@ -213,7 +216,13 @@ class TestLangevinTrajectory:
         dict(duration=0.0, dt=0.002),
         dict(duration=1.0, dt=-0.002),
         dict(duration=1.0, dt=0.002, n_traj=1),
-    ], ids=["duration_below_dt", "zero_duration", "negative_dt", "one_trajectory"])
+        dict(duration=1.0, dt=0.002, burn_in=5.0),
+        dict(duration=1.0, dt=0.002, burn_in=-5.0),
+        dict(duration=1.0, dt=0.002, burn_in=math.inf),
+        dict(duration=1.0, dt=0.4, burn_in=0.9),
+    ], ids=["duration_below_dt", "zero_duration", "negative_dt", "one_trajectory",
+            "burn_in_beyond_duration", "negative_burn_in", "infinite_burn_in",
+            "burn_in_rounds_to_last_step"])
     def test_rejects_arguments_without_moments(self, fig1_cold, kwargs):
         with pytest.raises(ValueError):
-            langevin_trajectory(fig1_cold, seed=1, burn_in=0.0, **kwargs)
+            langevin_trajectory(fig1_cold, seed=1, **{"burn_in": 0.0, **kwargs})

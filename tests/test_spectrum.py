@@ -218,6 +218,14 @@ class TestBetaEffLow:
     def test_reduces_to_beta_without_cooling(self, fig1_bare):
         assert beta_eff_low(fig1_bare) == pytest.approx(fig1_bare.beta, rel=1e-12)
 
+    @pytest.mark.parametrize("g_c", [0.0, 1e-170], ids=["zero", "square_underflows"])
+    def test_no_bath_rejected_like_beta_eff(self, g_c):
+        # 1e-170 squares to 0.0: the closed form would divide 0 by 0
+        p = SystemParams(gamma_m=0.0, g_c=g_c)
+        for evaluate in (lambda: beta_eff_low(p), lambda: beta_eff(0.5, p)):
+            with pytest.raises(ValueError, match="no bath"):
+                evaluate()
+
     def test_expansion_coefficients(self, fig1):
         zeroth, first = beta_eff_low_expansion(fig1)
         assert zeroth == pytest.approx(3.0, rel=1e-12)

@@ -6,11 +6,12 @@ autocorrelation, the steady-state covariance from the Lyapunov equation, and
 ensembles of the quadrature Langevin dynamics stepped by their exact Gaussian
 transition, where dt sets only how often a trajectory is sampled. Each
 contribution to the autocorrelation has one array-native integrand, shared by
-the adaptive c_qq_* oracles and the fixed-grid correlation_series;
-c_qq_total is one integral of the summed integrand. The white-noise
-oracles (Lyapunov, trajectories) are valid only at gamma_m = 0, where every
-noise source entering the 4x4 system is delta-correlated; thermal Brownian
-noise is colored and is validated in the frequency domain instead.
+the adaptive c_qq_* oracles and the fixed-grid correlation_series, whose
+trapezoid sums are GEMMs of two phase tables (about sqrt(n) rows each on a
+uniform time grid); c_qq_total is one integral of the summed integrand. The
+white-noise oracles (Lyapunov, trajectories) are valid only at gamma_m = 0,
+where every noise source entering the 4x4 system is delta-correlated; thermal
+Brownian noise is colored and is validated in the frequency domain instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import _table
 from ._quad import frequency_cutoff, resonance_peak, spectral_integral
 from .params import SystemParams, finite_real, finite_reals
 from .response import chi_q, lorentzian, lorentzian_asymmetry
-from .spectrum import beta_eff, j_eff, ohmic_j
+from .spectrum import _require_bath, beta_eff, j_eff, ohmic_j
 from .stability import require_stable
 
 
@@ -36,9 +37,11 @@ def _integrands(p: SystemParams, which: str):
     formulas being those of c_qq_thermal and c_qq_optical; "total" sums the
     coupled parts. Both functions take a float or an array of omega > 0, so
     the adaptive and the fixed-grid routes evaluate the same integrand.
+    Raises the shared "no bath" ValueError if p couples neither part.
     """
     if which not in ("thermal", "optical", "total"):
         raise ValueError("which must be thermal | optical | total")
+    _require_bath(p)
     thermal = which != "optical" and p.gamma_m > 0
     optical = which != "thermal" and p.g_c > 0
     if not (thermal or optical):
@@ -158,21 +161,38 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     limited by the grid (~1e-4 relative for the default), which is ample for
     the Fourier-consistency checks. For single times at tight tolerance use
     the adaptive c_qq_* functions.
+
+    Each time is split as t_k = coarse[k // B] + fine[k % B], so the angle-sum
+    identities make the trapezoid sums real GEMMs of cos/sin(omega coarse)
+    against the weighted cos/sin(omega fine). A uniform grid (to a few ulps)
+    gets B ~ sqrt(n); any other grid is the same code with fine = [0].
     """
     pair = _integrands(p, which)
     times = finite_reals("times", times)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-d array")
     w = _dense_frequency_grid(p, n_freq)
-    f_cos, f_sin = (np.zeros_like(w), np.zeros_like(w)) if pair is None else (f(w) for f in pair)
-
-    values = np.empty(len(times), dtype=complex)
+    q = np.convolve(np.diff(w), [0.5, 0.5])  # trapezoid weights
+    q_cos, q_sin = (0.0 * q, 0.0 * q) if pair is None else (q * f(w) for f in pair)
+    n, coarse, fine = len(times), times, np.zeros(1)
+    if n >= 3:
+        h = (times[-1] - times[0]) / (n - 1)
+        grid = times[0] + np.arange(n) * h
+        if np.abs(times - grid).max() <= 4.0 * np.spacing(np.abs(times).max()):
+            b = math.isqrt(n - 1) + 1
+            coarse, fine = grid[::b], np.arange(b) * h
+    # cos(wc + wf) = cc cf - sc sf, sin(wc + wf) = sc cf + cc sf: cc @ right_c + sc @ right_s
+    # holds the cosine sums in columns [:B] and the sine sums in [B:].
+    cf, sf = np.cos(np.outer(w, fine)), np.sin(np.outer(w, fine))
+    right_c = np.hstack([q_cos[:, None] * cf, q_sin[:, None] * sf])
+    right_s = np.hstack([-q_cos[:, None] * sf, q_sin[:, None] * cf])
+    sums = np.empty((len(coarse), 2 * len(fine)))
     chunk = max(1, int(2e7 / len(w)))
-    for start in range(0, len(times), chunk):
-        ts = times[start:start + chunk, None]
-        phase = w[None, :] * ts
-        re = np.trapezoid(f_cos[None, :] * np.cos(phase), w, axis=1)
-        im = np.trapezoid(f_sin[None, :] * np.sin(phase), w, axis=1)
-        values[start:start + chunk] = re - 1j * im
-    return CorrelationSeries(times=times, values=values, tag=which)
+    for start in range(0, len(coarse), chunk):
+        phase = np.outer(coarse[start:start + chunk], w)
+        sums[start:start + chunk] = np.cos(phase) @ right_c + np.sin(phase) @ right_s
+    re, im = np.hsplit(sums, 2)
+    return CorrelationSeries(times=times, values=(re - 1j * im).ravel()[:n], tag=which)
 
 
 def diffusion_matrix(p: SystemParams) -> np.ndarray:

@@ -236,6 +236,7 @@ def damping_kernel(t: float, p: SystemParams) -> float:
     In the low-frequency Ohmic regime the kernel is a near-delta whose
     running integral approaches eta_eff.
     """
+    _require_bath(p)
     if finite_real("t", t) < 0:
         return 0.0
     f = lambda w: (2.0 / math.pi) * j_eff(w, p) / w

@@ -46,3 +46,9 @@ CASES += [(name, 0.0) for name in OF_OMEGA if name != "ohmic_j"]
 def test_rejects_argument_outside_domain(fig1, name, value):
     with pytest.raises(ValueError, match="finite"):
         {**OF_OMEGA, **OF_TIME}[name](value, fig1)
+
+
+@pytest.mark.parametrize("times", [0.5, [[0.0, 0.5], [1.0, 1.5]]], ids=["scalar", "2d"])
+def test_series_rejects_times_not_1d(fig1, times):
+    with pytest.raises(ValueError, match="times must be a 1-d array"):
+        ob.correlation_series(fig1, times)

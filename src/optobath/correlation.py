@@ -7,8 +7,9 @@ ensembles of the quadrature Langevin dynamics stepped by their exact Gaussian
 transition, where dt sets only how often a trajectory is sampled. Each
 contribution to the autocorrelation has one array-native integrand, shared by
 the adaptive c_qq_* oracles and the fixed-grid correlation_series, whose
-trapezoid sums are GEMMs of two phase tables (about sqrt(n) rows each on a
-uniform time grid); c_qq_total is one integral of the summed integrand. The
+trapezoid sums on a uniform time grid are one complex GEMM of two phase
+tables of about sqrt(n) rows, built by doubling from about log2(n) directly
+evaluated exponentials; c_qq_total is one integral of the summed integrand. The
 white-noise oracles (Lyapunov, trajectories) are valid only at gamma_m = 0,
 where every noise source entering the 4x4 system is delta-correlated; thermal
 Brownian noise is colored and is validated in the frequency domain instead.
@@ -17,6 +18,7 @@ Brownian noise is colored and is validated in the frequency domain instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +125,7 @@ def c_qq_representation(t: float, p: SystemParams) -> complex:
 
 @dataclass
 class CorrelationSeries:
-    """C_qq(t) samples on an ascending time grid, tagged by contribution."""
+    """C_qq(t) samples at the given times, in their order, tagged by contribution."""
 
     times: np.ndarray
     values: np.ndarray
@@ -153,6 +155,21 @@ def _dense_frequency_grid(p: SystemParams, n: int = 30000) -> np.ndarray:
     return np.unique(w[(w >= floor) & (w <= cut)])
 
 
+def _doubled(first: np.ndarray, m: int, w: np.ndarray, step: float) -> np.ndarray:
+    """Rows first * exp(i w k step) for k < m, by doubling.
+
+    Rows [k, 2k) are rows [0, k) times one directly evaluated exp(i w k step),
+    so each entry is a product of at most log2(m) + 1 such factors.
+    """
+    table = np.empty((m, *first.shape), complex)
+    table[0] = first
+    k = 1
+    while k < m:
+        np.multiply(table[:min(k, m - k)], np.exp(1j * (w * (k * step))), out=table[k:2 * k])
+        k *= 2
+    return table
+
+
 def correlation_series(p: SystemParams, times, which: str = "total",
                        n_freq: int = 30000) -> CorrelationSeries:
     """Evaluate C_qq on many time points at once by fixed-grid quadrature.
@@ -162,37 +179,42 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     the Fourier-consistency checks. For single times at tight tolerance use
     the adaptive c_qq_* functions.
 
-    Each time is split as t_k = coarse[k // B] + fine[k % B], so the angle-sum
-    identities make the trapezoid sums real GEMMs of cos/sin(omega coarse)
-    against the weighted cos/sin(omega fine). A uniform grid (to a few ulps)
-    gets B ~ sqrt(n); any other grid is the same code with fine = [0].
+    With the integrand as a e^{iwt} + conj(b e^{iwt}), real a and b, a uniform
+    grid (to a few ulps) t_k = t0 + (jB + l) h, B ~ sqrt(n), is one complex GEMM
+    of e^{iw jBh} against [a, b] e^{iw(t0 + lh)}, both tables built by doubling.
+    Any other grid is B = 1 and t0 = 0, with real cos/sin(w t) tables in chunks
+    (half the memory of complex ones).
     """
     pair = _integrands(p, which)
     times = finite_reals("times", times)
     if times.ndim != 1:
         raise ValueError("times must be a 1-d array")
+    if isinstance(n_freq, bool) or not isinstance(n_freq, numbers.Integral) or n_freq < 1000:
+        raise ValueError(f"n_freq must be an integer >= 1000, got {n_freq!r}")
     w = _dense_frequency_grid(p, n_freq)
     q = np.convolve(np.diff(w), [0.5, 0.5])  # trapezoid weights
     q_cos, q_sin = (0.0 * q, 0.0 * q) if pair is None else (q * f(w) for f in pair)
-    n, coarse, fine = len(times), times, np.zeros(1)
+    n, t0, h, n_fine = len(times), 0.0, 0.0, 1
     if n >= 3:
-        h = (times[-1] - times[0]) / (n - 1)
-        grid = times[0] + np.arange(n) * h
+        step = (times[-1] - times[0]) / (n - 1)
+        grid = times[0] + np.arange(n) * step
         if np.abs(times - grid).max() <= 4.0 * np.spacing(np.abs(times).max()):
-            b = math.isqrt(n - 1) + 1
-            coarse, fine = grid[::b], np.arange(b) * h
-    # cos(wc + wf) = cc cf - sc sf, sin(wc + wf) = sc cf + cc sf: cc @ right_c + sc @ right_s
-    # holds the cosine sums in columns [:B] and the sine sums in [B:].
-    cf, sf = np.cos(np.outer(w, fine)), np.sin(np.outer(w, fine))
-    right_c = np.hstack([q_cos[:, None] * cf, q_sin[:, None] * sf])
-    right_s = np.hstack([-q_cos[:, None] * sf, q_sin[:, None] * cf])
-    sums = np.empty((len(coarse), 2 * len(fine)))
-    chunk = max(1, int(2e7 / len(w)))
-    for start in range(0, len(coarse), chunk):
-        phase = np.outer(coarse[start:start + chunk], w)
-        sums[start:start + chunk] = np.cos(phase) @ right_c + np.sin(phase) @ right_s
-    re, im = np.hsplit(sums, 2)
-    return CorrelationSeries(times=times, values=(re - 1j * im).ravel()[:n], tag=which)
+            t0, h, n_fine = times[0], step, math.isqrt(n - 1) + 1
+    # q_cos cos(wt) - i q_sin sin(wt) = a e^{iwt} + conj(b e^{iwt}), a, b = (q_cos -+ q_sin)/2
+    ab = np.array([q_cos - q_sin, q_cos + q_sin]) * (0.5 * np.exp(1j * (w * t0)))
+    right = _doubled(ab, n_fine, w, h).reshape(2 * n_fine, -1).T  # columns a_0, b_0, a_1, ...
+    if n_fine > 1:
+        sums = _doubled(np.ones(len(w)), -(-n // n_fine), w, n_fine * h) @ right
+    else:
+        pairs = np.ascontiguousarray(right).view(float)  # complex columns as (re, im) pairs
+        sums = np.empty((n, 2), complex)
+        chunk = max(1, int(2e7 / len(w)))
+        for start in range(0, n, chunk):
+            phase = np.outer(times[start:start + chunk], w)
+            sums[start:start + chunk] = ((np.cos(phase) @ pairs).view(complex)
+                                         + 1j * (np.sin(phase) @ pairs).view(complex))
+    values = (sums[:, 0::2] + sums[:, 1::2].conj()).ravel()[:n]
+    return CorrelationSeries(times=times, values=values, tag=which)
 
 
 def diffusion_matrix(p: SystemParams) -> np.ndarray:

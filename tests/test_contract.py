@@ -7,6 +7,7 @@ other argument with a ValueError that says so, instead of returning NaN.
 
 import math
 
+import numpy as np
 import pytest
 
 import optobath as ob
@@ -52,3 +53,19 @@ def test_rejects_argument_outside_domain(fig1, name, value):
 def test_series_rejects_times_not_1d(fig1, times):
     with pytest.raises(ValueError, match="times must be a 1-d array"):
         ob.correlation_series(fig1, times)
+
+
+@pytest.mark.parametrize("n_freq", [0, 1, True, -5, 100.0, 3, 8, 999])
+def test_series_rejects_n_freq_below_grid_floor(fig1, n_freq):
+    # below 1000 frequencies the grid cannot resolve the resonance: 3 and 8
+    # gave C(0) in the thousands where it is about 1.14
+    with pytest.raises(ValueError, match="n_freq must be an integer >= 1000"):
+        ob.correlation_series(fig1, [0.0, 1.0], n_freq=n_freq)
+
+
+@pytest.mark.parametrize("n_freq", [1000, np.int64(1000)], ids=["int", "numpy_int"])
+def test_series_accepts_n_freq_at_grid_floor(fig1, n_freq):
+    series = ob.correlation_series(fig1, [0.0, 1.0, 5.0], n_freq=n_freq)
+    c0 = abs(ob.c_qq_total(0.0, fig1))
+    for t, v in zip(series.times, series.values):
+        assert abs(v - ob.c_qq_total(t, fig1)) < 1e-3 * c0

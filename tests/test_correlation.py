@@ -168,23 +168,42 @@ class TestCorrelationSeries:
         c0 = abs(reference[0])
         assert np.abs(series.values - reference).max() < 1e-4 * c0
 
-    @pytest.mark.parametrize("times", [
-        np.linspace(3.3, 17.1, 777),
-        np.linspace(12.0, -3.0, 1001),
-        np.array([0.4, 2.9]),
-        np.array([-1.0, 0.5, 2.0]),
-        np.arange(1001) * 0.2 + np.where(np.arange(1001) == 500, np.spacing(100.0), 0.0),
-    ], ids=["offset_linspace", "descending_through_zero", "n2", "n3", "jittered_one_ulp"])
-    def test_uniform_grid_matches_per_time_calls(self, fig1, times):
-        # a uniform grid takes the factorized phase tables; a single time
-        # takes one row of phases, so the two routes must agree to rounding
-        series = correlation_series(fig1, times)
-        c0 = abs(correlation_series(fig1, [0.0]).values[0])
+    @pytest.mark.parametrize("preset, times", [
+        ("fig1", np.linspace(3.3, 17.1, 777)),
+        ("fig1", np.linspace(12.0, -3.0, 1001)),
+        ("fig1", np.array([0.4, 2.9])),
+        ("fig1", np.array([-1.0, 0.5, 2.0])),
+        ("fig1", np.arange(1001) * 0.2 + np.where(np.arange(1001) == 500, np.spacing(100.0), 0.0)),
+        ("fig1", np.linspace(0.0, 200.0, 20001)),
+        ("fig1_cold", np.linspace(0.0, 200.0, 20001)),
+        ("fig1", np.linspace(0.0, 2000.0, 100001)),
+        ("fig1_cold", np.linspace(0.0, 2000.0, 100001)),
+    ], ids=["offset_linspace", "descending_through_zero", "n2", "n3", "jittered_one_ulp",
+            "n20001", "n20001_cold", "n100001", "n100001_cold"])
+    def test_uniform_grid_matches_per_time_calls(self, request, preset, times):
+        # a uniform grid takes the phase tables built by doubling, whose
+        # entries are products of up to log2(sqrt(n)) + 1 factors on each
+        # side; a single time takes one row of direct phases, so the two
+        # routes must agree to rounding
+        p = request.getfixturevalue(preset)
+        series = correlation_series(p, times)
+        c0 = abs(correlation_series(p, [0.0]).values[0])
         n = len(times)
         probes = np.unique(np.r_[0, 1, n - 2, n - 1, np.linspace(0, n - 1, 9).astype(int)])
         for k in probes:
-            single = correlation_series(fig1, [times[k]]).values[0]
+            single = correlation_series(p, [times[k]]).values[0]
             assert abs(series.values[k] - single) <= 1e-13 * c0
+
+    def test_moved_time_takes_direct_route_with_same_values(self, fig1):
+        # moving one time by 1e-9 makes the grid non-uniform, so every time
+        # gets a direct row of phases; the others must not notice
+        times = np.arange(301) * 0.5
+        moved = times.copy()
+        moved[137] += 1e-9
+        uniform = correlation_series(fig1, times).values
+        direct = correlation_series(fig1, moved).values
+        c0 = abs(uniform[0])
+        assert np.abs(np.delete(direct - uniform, 137)).max() <= 1e-13 * c0
 
     def test_empty_times_give_empty_series(self, fig1_cold):
         series = correlation_series(fig1_cold, [])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -176,10 +177,11 @@ class TestCorrelationSeries:
         ("fig1", np.arange(1001) * 0.2 + np.where(np.arange(1001) == 500, np.spacing(100.0), 0.0)),
         ("fig1", np.linspace(0.0, 200.0, 20001)),
         ("fig1_cold", np.linspace(0.0, 200.0, 20001)),
+        ("fig1_bare", np.linspace(0.0, 200.0, 20001)),
         ("fig1", np.linspace(0.0, 2000.0, 100001)),
         ("fig1_cold", np.linspace(0.0, 2000.0, 100001)),
     ], ids=["offset_linspace", "descending_through_zero", "n2", "n3", "jittered_one_ulp",
-            "n20001", "n20001_cold", "n100001", "n100001_cold"])
+            "n20001", "n20001_cold", "n20001_bare", "n100001", "n100001_cold"])
     def test_uniform_grid_matches_per_time_calls(self, request, preset, times):
         # a uniform grid takes the phase tables built by doubling, whose
         # entries are products of up to log2(sqrt(n)) + 1 factors on each
@@ -193,6 +195,38 @@ class TestCorrelationSeries:
         for k in probes:
             single = correlation_series(p, [times[k]]).values[0]
             assert abs(series.values[k] - single) <= 1e-13 * c0
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig1_cold", "fig1_bare"])
+    def test_irregular_times_match_uniform_route(self, request, preset):
+        # 300 irregular times take tables doubled along each frequency block,
+        # in several chunks of times; the last point of a uniform grid ending
+        # at the same time takes tables doubled along time. Each time is 1000 h
+        # with h a multiple of 2^-30, so that grid reproduces it exactly and
+        # only table rounding is compared: at fig1_bare C(t) barely decays, and
+        # one ulp of time there is already about 1e-13 |C(0)|
+        p = request.getfixturevalue(preset)
+        steps = np.round(np.random.default_rng(11).uniform(0.0, 2.0, 300) * 2**30)
+        times = np.sort(steps) * 2.0**-30 * 1000.0
+        series = correlation_series(p, times).values
+        c0 = abs(correlation_series(p, [0.0]).values[0])
+        for k in np.linspace(0, len(times) - 1, 11).astype(int):
+            uniform = correlation_series(p, np.linspace(0.0, times[k], 1001)).values[-1]
+            assert abs(series[k] - uniform) <= 1e-13 * c0
+
+    @pytest.mark.parametrize("times, limit_mib", [
+        (np.linspace(0.0, 2000.0, 100001), 160),
+        (np.sort(np.random.default_rng(5).uniform(0.0, 200.0, 300)), 48),
+    ], ids=["uniform_n100001", "irregular_n300"])
+    def test_phase_tables_stay_within_memory_bound(self, fig1, times, limit_mib):
+        # both routes build their tables a slice of nodes or a chunk of times
+        # at a time; whole tables would take about 381 and 122 MiB here
+        tracemalloc.start()
+        try:
+            correlation_series(fig1, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
     def test_moved_time_takes_direct_route_with_same_values(self, fig1):
         # moving one time by 1e-9 makes the grid non-uniform, so every time

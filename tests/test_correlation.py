@@ -185,8 +185,9 @@ class TestCorrelationSeries:
     def test_uniform_grid_matches_per_time_calls(self, request, preset, times):
         # a uniform grid takes the phase tables built by doubling, whose
         # entries are products of up to log2(sqrt(n)) + 1 factors on each
-        # side; a single time takes one row of direct phases, so the two
-        # routes must agree to rounding
+        # side; a single time takes phases doubled along each frequency block,
+        # products of up to log2(K) + 1 factors, so the two routes must agree
+        # to rounding
         p = request.getfixturevalue(preset)
         series = correlation_series(p, times)
         c0 = abs(correlation_series(p, [0.0]).values[0])
@@ -230,7 +231,7 @@ class TestCorrelationSeries:
 
     def test_moved_time_takes_direct_route_with_same_values(self, fig1):
         # moving one time by 1e-9 makes the grid non-uniform, so every time
-        # gets a direct row of phases; the others must not notice
+        # takes the frequency-block route; the others must not notice
         times = np.arange(301) * 0.5
         moved = times.copy()
         moved[137] += 1e-9

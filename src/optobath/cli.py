@@ -93,6 +93,8 @@ def build_params(args) -> SystemParams:
             raise ValueError("config document must be a JSON object")
         hardware = loaded.pop("hardware", None)
         if hardware is not None:
+            if "g_a" in loaded:
+                raise ValueError('config gives g_a twice: as "g_a" and through its "hardware" block')
             loaded["g_a"] = g_a_from_hardware_block(hardware)
         data.update(loaded)
     data.update(_overrides(args))

@@ -300,6 +300,17 @@ class TestExitCodes:
         _, rows = read_csv(out)
         assert all(float(r[1]) > 0 for r in rows)
 
+    def test_config_giving_g_a_twice_is_config_error(self, tmp_path, capsys):
+        # an explicit "g_a" and a hardware block would each set g_a; neither
+        # may silently win
+        hardware = {"r_m": 0.2, "omega_0": 1.216e15, "d": 0.01, "L": 0.04, "l": 0.015,
+                    "b_s": 2.4e4, "mass": 8.0e-11, "omega_m_si": 2 * math.pi * 3.0e5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"g_c": 0.45, "g_a": 0.3, "hardware": hardware}))
+        assert run_cli("rates", "--config", str(path), "--grid-count", "5") == 2
+        err = capsys.readouterr().err
+        assert "g_a twice" in err and '"g_a"' in err and '"hardware"' in err
+
     @pytest.mark.parametrize("key", ["kappa_b", "delta_b"])
     def test_config_with_removed_parameter_is_config_error(self, tmp_path, key, capsys):
         path = tmp_path / "config.json"

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from optobath import (
@@ -22,7 +23,20 @@ from optobath import (
     ohmic_j,
     s_qq,
 )
-from optobath.stability import require_stable
+from optobath._quad import frequency_cutoff
+from optobath.correlation import _gauss_frequency_grid
+from optobath.spectrum import g_c_max
+from optobath.stability import UnstableError, require_stable
+
+
+def regression_theorem(p, times, dt):
+    """C(t_k) at t_k = k dt from [e^{At} V]_QQ - (i/2) [e^{At}]_QP, gamma_m = 0."""
+    step = expm(require_stable(p) * dt)
+    rows = np.empty((len(times), 4))  # row Q of e^{A t_k}
+    rows[0] = [1.0, 0.0, 0.0, 0.0]
+    for k in range(1, len(times)):
+        rows[k] = rows[k - 1] @ step
+    return rows @ lyapunov_covariance(p)[:, 0] - 0.5j * rows[:, 1]
 
 
 class TestThermalContribution:
@@ -160,14 +174,25 @@ class TestCorrelationSeries:
         dt = 0.01
         times = np.arange(0.0, 200.0 + dt / 2, dt)
         series = correlation_series(fig1_cold, times, which="total")
-        step = expm(require_stable(fig1_cold) * dt)
-        rows = np.empty((len(times), 4))  # row Q of e^{A t_k}
-        rows[0] = [1.0, 0.0, 0.0, 0.0]
-        for k in range(1, len(times)):
-            rows[k] = rows[k - 1] @ step
-        reference = rows @ lyapunov_covariance(fig1_cold)[:, 0] - 0.5j * rows[:, 1]
+        reference = regression_theorem(fig1_cold, times, dt)
         c0 = abs(reference[0])
         assert np.abs(series.values - reference).max() < 1e-4 * c0
+
+    @pytest.mark.parametrize("g_c", [0.45, 0.1, 0.55], ids=["fig1_cold", "g_c_0.1", "g_c_0.55"])
+    def test_matches_regression_theorem_to_rule_error(self, fig1_cold, g_c):
+        # the Gauss panels partition [0, cut], so only the rule's own error
+        # is left: about 1e-11 |C(0)| up to t = 200 at the default size, and
+        # about 2e-9 at n_freq = 1000 while its panels stay narrow against
+        # 2 pi / t (t <= 13)
+        p = replace(fig1_cold, g_c=g_c)
+        dt = 0.01
+        times = np.arange(0.0, 200.0 + dt / 2, dt)
+        reference = regression_theorem(p, times, dt)
+        c0 = abs(reference[0])
+        assert np.abs(correlation_series(p, times).values - reference).max() < 1e-9 * c0
+        short = times <= 13.0
+        coarse = correlation_series(p, times[short], n_freq=1000).values
+        assert np.abs(coarse - reference[short]).max() < 1e-8 * c0
 
     @pytest.mark.parametrize("preset, times", [
         ("fig1", np.linspace(3.3, 17.1, 777)),
@@ -243,6 +268,37 @@ class TestCorrelationSeries:
     def test_empty_times_give_empty_series(self, fig1_cold):
         series = correlation_series(fig1_cold, [])
         assert len(series.times) == len(series.values) == 0
+
+
+class TestGaussFrequencyGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        omega_m=st.floats(0.05, 2.5),
+        gamma_m=st.one_of(st.just(0.0), st.floats(1e-7, 2.0)),
+        kappa_c=st.floats(0.3, 3.0),
+        detuning=st.floats(0.3, 2.0),
+        frac=st.floats(0.0, 0.95),
+        n=st.sampled_from([1000, 12345, 30000]),
+    )
+    # an overdamped peak near 0 (width 0.35 > w_peak 1.9e-9) and a 5e-7-wide one
+    @example(omega_m=1.0, gamma_m=1e-6, kappa_c=2 / math.sqrt(3), detuning=0.866,
+             frac=0.9, n=30000)
+    @example(omega_m=1.0, gamma_m=1e-6, kappa_c=2 / math.sqrt(3), detuning=0.866,
+             frac=0.0, n=1000)
+    def test_panels_partition_zero_to_cut(self, omega_m, gamma_m, kappa_c, detuning, frac, n):
+        p = SystemParams(omega_m=omega_m, gamma_m=gamma_m, kappa_c=kappa_c,
+                         delta_c=-detuning * kappa_c, beta=1e-4)
+        p = replace(p, g_c=frac * g_c_max(p))
+        try:
+            require_stable(p)
+        except UnstableError:
+            assume(False)
+        starts, steps, w, q = _gauss_frequency_grid(p, n)
+        cut, k = frequency_cutoff(p), 2 ** int(math.log2(n / 240))
+        assert len(w) == len(q) == 4 * k * (n // (4 * k))
+        assert np.all((w > 0) & (w < cut)) and np.all(q > 0)
+        assert q.sum() == pytest.approx(cut, rel=1e-12)
+        assert np.array_equal(starts + steps * np.arange(k)[:, None], w.reshape(k, -1))
 
 
 class TestNoBath:

@@ -5,9 +5,16 @@ which can be arbitrarily narrow (width ~ gamma_m/2 when the cooling drive is
 off). Every routine therefore splits the axis at the located peak and, for
 oscillatory weights cos(omega*t) / sin(omega*t) over wide segments, switches
 to the dedicated oscillatory rule.
+
+QUADPACK calls an integrand once per sample with one float, so the callers
+hand in bare formulas and check their parameters once, before integrating;
+no per-sample check stands between a bad sample and the sum. Instead a sum
+that is not finite raises QuadratureError.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -22,7 +29,7 @@ _OSC_PERIODS = 3.0
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature gave a non-finite value or failed to reach the requested tolerance."""
 
 
 def frequency_cutoff(p: SystemParams) -> float:
@@ -95,7 +102,8 @@ def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain"
     ``kind`` selects the weight: "plain", "cos" or "sin". At t = 0 the
     "sin" integral is 0 and the "cos" one is the plain integral. Raises
     QuadratureError when the accumulated error estimate exceeds a loose
-    multiple of the requested tolerance, reporting the achieved value.
+    multiple of the requested tolerance, reporting the achieved value, and
+    when the value is not finite: f was NaN or infinite at some sample.
     """
     if kind == "sin" and t == 0:
         return 0.0
@@ -113,6 +121,8 @@ def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain"
         val, e = _segment(f, lo, up, t, kind, epsabs, epsrel, inner)
         total += val
         err += e
+    if not math.isfinite(total):
+        raise QuadratureError(f"integral not finite ({total}): integrand not finite on (0, {hi:g}]")
     tol = max(epsabs, epsrel * abs(total))
     if err > 1e4 * tol and err > 1e-5 * abs(total):
         raise QuadratureError(

@@ -25,10 +25,10 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from . import _table
-from ._quad import frequency_cutoff, resonance_peak, spectral_integral
+from ._quad import QuadratureError, frequency_cutoff, resonance_peak, spectral_integral
 from .params import SystemParams, finite_real, finite_reals
-from .response import chi_q, lorentzian, lorentzian_asymmetry
-from .spectrum import _require_bath, beta_eff, j_eff, ohmic_j
+from .response import chi_q_inv, lorentzian, lorentzian_asymmetry
+from .spectrum import _beta_eff, _j_eff, _ohmic_j, _require_bath
 from .stability import require_stable
 
 
@@ -39,11 +39,13 @@ def _integrands(p: SystemParams, which: str):
     formulas being those of c_qq_thermal and c_qq_optical; "total" sums the
     coupled parts. Both functions take a float or an array of omega > 0, so
     the adaptive and the fixed-grid routes evaluate the same integrand.
-    Raises the shared "no bath" ValueError if p couples neither part.
+    p is checked here, once: the shared "no bath" ValueError if it couples
+    neither part, UnstableError if it has no steady state.
     """
     if which not in ("thermal", "optical", "total"):
         raise ValueError("which must be thermal | optical | total")
     _require_bath(p)
+    require_stable(p)
     thermal = which != "optical" and p.gamma_m > 0
     optical = which != "thermal" and p.g_c > 0
     if not (thermal or optical):
@@ -51,17 +53,17 @@ def _integrands(p: SystemParams, which: str):
     weight = 2.0 * p.g_c**2 * p.omega_m
 
     def f_cos(w):
-        mod2, value = abs(chi_q(w, p)) ** 2, 0.0
+        mod2, value = abs(1.0 / chi_q_inv(w, p)) ** 2, 0.0
         if thermal:
-            value += ohmic_j(w, p) * mod2 / np.tanh(p.beta * w / 2.0) / math.pi
+            value += _ohmic_j(w, p) * mod2 / np.tanh(p.beta * w / 2.0) / math.pi
         if optical:
             value += weight * mod2 * (lorentzian(w, p) + lorentzian(-w, p))
         return value
 
     def f_sin(w):
-        mod2, value = abs(chi_q(w, p)) ** 2, 0.0
+        mod2, value = abs(1.0 / chi_q_inv(w, p)) ** 2, 0.0
         if thermal:
-            value += ohmic_j(w, p) * mod2 / math.pi
+            value += _ohmic_j(w, p) * mod2 / math.pi
         if optical:
             value += weight * mod2 * lorentzian_asymmetry(w, p)
         return value
@@ -104,6 +106,25 @@ def c_qq_total(t: float, p: SystemParams) -> complex:
     return _adaptive(p, t, _integrands(p, "total"))
 
 
+def _representation_integrands(p: SystemParams):
+    """(f_cos, f_sin) of C(t) rebuilt from the j_eff and beta_eff formulas.
+
+    Like _integrands, it checks p once, for a bath and a steady state, and
+    its functions take a float or an array of omega > 0.
+    """
+    _require_bath(p)
+    require_stable(p)
+
+    def f_cos(w):
+        coth = 1.0 + 2.0 / np.expm1(w * _beta_eff(w, p))
+        return _j_eff(w, p) * coth / math.pi
+
+    def f_sin(w):
+        return _j_eff(w, p) / math.pi
+
+    return f_cos, f_sin
+
+
 def c_qq_representation(t: float, p: SystemParams) -> complex:
     """The same autocorrelation rebuilt from (j_eff, beta_eff).
 
@@ -112,15 +133,7 @@ def c_qq_representation(t: float, p: SystemParams) -> complex:
     Agreement with c_qq_total is the defining property of the engineered
     bath description.
     """
-
-    def f_cos(w):
-        coth = 1.0 + 2.0 / np.expm1(w * beta_eff(w, p))
-        return j_eff(w, p) * coth / math.pi
-
-    def f_sin(w):
-        return j_eff(w, p) / math.pi
-
-    return _adaptive(p, t, (f_cos, f_sin))
+    return _adaptive(p, t, _representation_integrands(p))
 
 
 @dataclass
@@ -211,6 +224,8 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     q_cos, q_sin = (0.0 * q, 0.0 * q) if pair is None else (q * f(w) for f in pair)
     # q_cos cos(wt) - i q_sin sin(wt) = a e^{iwt} + conj(b e^{iwt}), a, b = (q_cos -+ q_sin)/2
     ab = 0.5 * np.array([q_cos - q_sin, q_cos + q_sin])
+    if not np.isfinite(ab).all():
+        raise QuadratureError("correlation_series: integrand not finite on the frequency grid")
     n, n_fine = len(times), 1
     if n >= 3:
         step = (times[-1] - times[0]) / (n - 1)

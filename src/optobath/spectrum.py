@@ -6,6 +6,14 @@ by a spectral density j_eff(omega) and an inverse temperature beta_eff(omega).
 This module evaluates both, their closed-form low-frequency limits, the
 laser-cooling-dominated forms, and the coupling threshold g_c_max beyond
 which the low-frequency damping changes sign.
+
+ohmic_j, j_eff and beta_eff each have one formula, a private function of a
+float or an array that checks nothing. The public function checks its
+arguments once per call, at the boundary (frequency domain, dressed pole,
+the no-bath point), then evaluates that formula. Adaptive integrands call
+the formulas directly, since QUADPACK samples them one float at a time;
+the oracles that own them check their parameters once on entry, and a
+non-finite integral raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -55,6 +63,10 @@ def _require_bath(p: SystemParams) -> None:
 def ohmic_j(omega, p: SystemParams):
     """Ohmic mechanical spectral density gamma_m * omega * exp(-omega/cutoff)."""
     check_frequency("ohmic_j: omega", omega, allow_zero=True)
+    return _ohmic_j(omega, p)
+
+
+def _ohmic_j(omega, p: SystemParams):
     return p.gamma_m * omega * np.exp(-np.asarray(omega, dtype=float) / p.cutoff)
 
 
@@ -67,11 +79,14 @@ def j_eff(omega, p: SystemParams):
     gated by the narrow mechanical resonance, lacks.
     """
     check_frequency("j_eff: omega", omega)
-    inv = chi_q_inv(omega, p)
-    if np.any(np.abs(inv) < _POLE_EPS):
+    if np.any(np.abs(chi_q_inv(omega, p)) < _POLE_EPS):
         raise PoleError("dressed susceptibility pole inside j_eff")
-    mod2 = 1.0 / np.abs(inv) ** 2
-    return mod2 * (ohmic_j(omega, p) + _coupling_weight(p) * lorentzian_asymmetry(omega, p))
+    return _j_eff(omega, p)
+
+
+def _j_eff(omega, p: SystemParams):
+    mod2 = 1.0 / np.abs(chi_q_inv(omega, p)) ** 2
+    return mod2 * (_ohmic_j(omega, p) + _coupling_weight(p) * lorentzian_asymmetry(omega, p))
 
 
 def beta_eff(omega, p: SystemParams):
@@ -88,8 +103,12 @@ def beta_eff(omega, p: SystemParams):
     """
     check_frequency("beta_eff: omega", omega)
     _require_bath(p)
+    return _beta_eff(omega, p)
+
+
+def _beta_eff(omega, p: SystemParams):
     w = _coupling_weight(p)
-    j = ohmic_j(omega, p)
+    j = _ohmic_j(omega, p)
     nbar = thermal_occupation(omega, p.beta)
     imbalance = j + w * lorentzian_asymmetry(omega, p)
     coupled_down = w * lorentzian(-np.asarray(omega, dtype=float), p)
@@ -115,7 +134,7 @@ def detailed_balance_coth(omega, p: SystemParams):
     """
     check_frequency("detailed_balance_coth: omega", omega)
     w = _coupling_weight(p)
-    j = ohmic_j(omega, p)
+    j = _ohmic_j(omega, p)
     om = np.asarray(omega, dtype=float)
     num = j / np.tanh(p.beta * om / 2.0) + w * (lorentzian(om, p) + lorentzian(-om, p))
     den = j + w * lorentzian_asymmetry(omega, p)
@@ -239,7 +258,7 @@ def damping_kernel(t: float, p: SystemParams) -> float:
     _require_bath(p)
     if finite_real("t", t) < 0:
         return 0.0
-    f = lambda w: (2.0 / math.pi) * j_eff(w, p) / w
+    f = lambda w: (2.0 / math.pi) * _j_eff(w, p) / w
     return spectral_integral(f, p, t=t, kind="cos")
 
 

@@ -23,8 +23,9 @@ from optobath import (
     ohmic_j,
     s_qq,
 )
-from optobath._quad import frequency_cutoff
-from optobath.correlation import _gauss_frequency_grid
+from optobath import correlation
+from optobath._quad import QuadratureError, frequency_cutoff
+from optobath.correlation import _gauss_frequency_grid, _integrands, _representation_integrands
 from optobath.spectrum import g_c_max
 from optobath.stability import UnstableError, require_stable
 
@@ -306,7 +307,8 @@ class TestNoBath:
         lambda p: damping_kernel(1.0, p),
         lambda p: c_qq_total(0.5, p),
         lambda p: correlation_series(p, [0.0, 1.0]),
-    ], ids=["damping_kernel", "c_qq_total", "correlation_series"])
+        lambda p: c_qq_representation(0.5, p),
+    ], ids=["damping_kernel", "c_qq_total", "correlation_series", "c_qq_representation"])
     def test_rejected_with_shared_message(self, call):
         with pytest.raises(ValueError, match="no bath: gamma_m = 0 and g_c\\^2 = 0"):
             call(SystemParams(gamma_m=0.0, g_c=0.0))
@@ -315,6 +317,42 @@ class TestNoBath:
         # a bath exists (g_c > 0); only its thermal part is uncoupled, as for
         # c_qq_thermal in TestThermalContribution
         assert np.all(correlation_series(fig1_cold, [0.0, 1.0], which="thermal").values == 0)
+
+
+class TestNoSteadyState:
+    # delta_c = 0 leaves the undamped mechanics undamped: the 4x4 abscissa is 0
+    @pytest.mark.parametrize("call", [
+        lambda p: c_qq_total(0.5, p),
+        lambda p: c_qq_representation(0.5, p),
+        lambda p: correlation_series(p, [0.0, 0.5]),
+    ], ids=["c_qq_total", "c_qq_representation", "correlation_series"])
+    def test_refused(self, call):
+        with pytest.raises(UnstableError, match="not strictly stable"):
+            call(SystemParams(gamma_m=0.0, g_c=0.3, kappa_c=1.0, delta_c=0.0))
+
+
+class TestIntegrandChecks:
+    """The integrands check nothing per sample; their callers check once per call."""
+
+    @pytest.mark.parametrize("point", ["fig1", "fig1_bare", "warm"])
+    def test_scalar_and_array_routes_agree(self, point, request):
+        # QUADPACK samples with Python floats, whose complex division and
+        # builtin abs round unlike numpy's array loops: a few eps apart, not
+        # bit for bit, both here and before the integrands lost their checks
+        p = (replace(request.getfixturevalue("fig1"), gamma_m=1e-3) if point == "warm"
+             else request.getfixturevalue(point))
+        w = 10.0 ** np.random.default_rng(5).uniform(-4.0, 3.0, 200)
+        for f in (*_integrands(p, "total"), *_representation_integrands(p)):
+            array = f(w)
+            scalar = np.array([f(float(x)) for x in w])
+            assert np.all(np.isfinite(array))
+            np.testing.assert_allclose(scalar, array, rtol=16 * np.finfo(float).eps, atol=0)
+
+    def test_series_refuses_non_finite_grid_integrand(self, fig1, monkeypatch):
+        one_nan = lambda w: np.where(w == w[len(w) // 2], np.nan, 1.0)
+        monkeypatch.setattr(correlation, "_integrands", lambda p, which: (one_nan, one_nan))
+        with pytest.raises(QuadratureError, match="not finite"):
+            correlation_series(fig1, [0.0, 1.0])
 
 
 class TestLyapunovCovariance:

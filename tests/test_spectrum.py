@@ -313,6 +313,35 @@ def test_quadrature_nonconvergence_reported():
         spectral_integral(nasty, p, epsabs=1e-14, epsrel=1e-14)
 
 
+def test_non_finite_integral_reported():
+    from optobath import QuadratureError
+    from optobath._quad import spectral_integral
+
+    p = SystemParams(g_c=0.3, kappa_c=1.0, delta_c=-0.8, gamma_m=0.0)
+    calls = []
+
+    def nan_once(w):
+        calls.append(w)
+        return math.nan if len(calls) == 10 else 1.0
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        spectral_integral(nan_once, p)
+
+
+@pytest.mark.parametrize("name, omega, message", [
+    *[("ohmic_j", w, "ohmic_j: omega must be finite and >= 0") for w in (-1.0, math.nan, math.inf)],
+    *[(n, w, f"{n}: omega must be finite and > 0")
+      for n in ("j_eff", "beta_eff") for w in (0.0, math.nan, math.inf)],
+])
+def test_public_bath_functions_check_omega(fig1, name, omega, message):
+    # the formulas inside the adaptive integrands skip these checks; the
+    # public functions keep them, for a float and inside an array
+    fn = {"ohmic_j": ohmic_j, "j_eff": j_eff, "beta_eff": beta_eff}[name]
+    for arg in (omega, np.array([0.5, omega])):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(arg, fig1)
+
+
 class TestBathSpectrumObject:
     def test_default_grid_shape(self, fig1):
         spec = compute_spectrum(fig1)

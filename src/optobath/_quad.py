@@ -6,10 +6,9 @@ off). Every routine therefore splits the axis at the located peak and, for
 oscillatory weights cos(omega*t) / sin(omega*t) over wide segments, switches
 to the dedicated oscillatory rule.
 
-QUADPACK calls an integrand once per sample with one float, so the callers
-hand in bare formulas and check their parameters once, before integrating;
-no per-sample check stands between a bad sample and the sum. Instead a sum
-that is not finite raises QuadratureError.
+QUADPACK samples an integrand one float at a time, so callers pass formulas
+without per-sample checks and check their parameters once; a sum that is
+not finite raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -102,8 +101,8 @@ def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain"
     ``kind`` selects the weight: "plain", "cos" or "sin". At t = 0 the
     "sin" integral is 0 and the "cos" one is the plain integral. Raises
     QuadratureError when the accumulated error estimate exceeds a loose
-    multiple of the requested tolerance, reporting the achieved value, and
-    when the value is not finite: f was NaN or infinite at some sample.
+    multiple of the requested tolerance, reporting the achieved value, or
+    when the sum is not finite (f was NaN or infinite at some sample).
     """
     if kind == "sin" and t == 0:
         return 0.0

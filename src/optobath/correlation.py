@@ -107,11 +107,7 @@ def c_qq_total(t: float, p: SystemParams) -> complex:
 
 
 def _representation_integrands(p: SystemParams):
-    """(f_cos, f_sin) of C(t) rebuilt from the j_eff and beta_eff formulas.
-
-    Like _integrands, it checks p once, for a bath and a steady state, and
-    its functions take a float or an array of omega > 0.
-    """
+    """(f_cos, f_sin) of c_qq_representation; p is checked once, as in _integrands."""
     _require_bath(p)
     require_stable(p)
 

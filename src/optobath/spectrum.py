@@ -7,13 +7,10 @@ This module evaluates both, their closed-form low-frequency limits, the
 laser-cooling-dominated forms, and the coupling threshold g_c_max beyond
 which the low-frequency damping changes sign.
 
-ohmic_j, j_eff and beta_eff each have one formula, a private function of a
-float or an array that checks nothing. The public function checks its
-arguments once per call, at the boundary (frequency domain, dressed pole,
-the no-bath point), then evaluates that formula. Adaptive integrands call
-the formulas directly, since QUADPACK samples them one float at a time;
-the oracles that own them check their parameters once on entry, and a
-non-finite integral raises QuadratureError.
+ohmic_j, j_eff and beta_eff check their arguments once per call, then
+evaluate a private formula that checks nothing. The adaptive integrands,
+which QUADPACK samples one float at a time, call those formulas directly;
+a non-finite integral raises QuadratureError.
 """
 
 from __future__ import annotations

@@ -320,7 +320,7 @@ class TestNoBath:
 
 
 class TestNoSteadyState:
-    # delta_c = 0 leaves the undamped mechanics undamped: the 4x4 abscissa is 0
+    # gamma_m = 0 and delta_c = 0 leave the mechanics undamped: the 4x4 abscissa is 0
     @pytest.mark.parametrize("call", [
         lambda p: c_qq_total(0.5, p),
         lambda p: c_qq_representation(0.5, p),

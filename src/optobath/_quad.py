@@ -1,10 +1,10 @@
 """Adaptive quadrature helpers for spectral integrals.
 
-The integrands here are smooth apart from one dressed mechanical resonance,
-which can be arbitrarily narrow (width ~ gamma_m/2 when the cooling drive is
-off). Every routine therefore splits the axis at the located peak and, for
-oscillatory weights cos(omega*t) / sin(omega*t) over wide segments, switches
-to the dedicated oscillatory rule.
+Every integral carries a cos(omega*t) or sin(omega*t) weight and one fixed
+tolerance. The integrands are smooth apart from one dressed mechanical
+resonance, which can be arbitrarily narrow (width ~ gamma_m/2 when the
+cooling drive is off). The axis is split at the located peak; segments
+spanning several periods of the weight use the oscillatory rule.
 
 QUADPACK samples an integrand one float at a time, so callers pass formulas
 without per-sample checks and check their parameters once; a sum that is
@@ -22,9 +22,12 @@ from scipy.optimize import minimize_scalar
 from .params import SystemParams
 from .response import chi_q_inv
 
-# Segments spanning more than this many oscillation periods use the
-# weighted (QAWO) rule instead of the plain adaptive one.
+# Segments spanning more than this many oscillation periods use the weighted
+# (QAWO) rule; the first never does, so its _WEIGHTS lookup rejects other kinds.
 _OSC_PERIODS = 3.0
+_EPSABS, _EPSREL = 1e-10, 1e-8
+_QUAD_OPTS = dict(limit=400, epsabs=_EPSABS, epsrel=_EPSREL, full_output=1)
+_WEIGHTS = {"cos": np.cos, "sin": np.sin}
 
 
 class QuadratureError(RuntimeError):
@@ -77,39 +80,27 @@ def breakpoints(p: SystemParams) -> list[float]:
     return sorted(x for x in pts if 0.0 < x < cut)
 
 
-def _segment(f, lo, hi, t, kind, epsabs, epsrel, inner_points):
-    if kind == "plain" or t * (hi - lo) < _OSC_PERIODS * 2.0 * np.pi:
-        if kind == "cos":
-            g = lambda w: f(w) * np.cos(w * t)
-        elif kind == "sin":
-            g = lambda w: f(w) * np.sin(w * t)
-        else:
-            g = f
-        pts = [x for x in inner_points if lo < x < hi] or None
-        out = quad(g, lo, hi, points=pts, limit=400, epsabs=epsabs, epsrel=epsrel,
-                   full_output=1)
-    else:
-        out = quad(f, lo, hi, weight=kind, wvar=t, limit=400, epsabs=epsabs,
-                   epsrel=epsrel, full_output=1)
-    return out[0], out[1]
+def _segment(f, lo, hi, t, kind):
+    if t * (hi - lo) < _OSC_PERIODS * 2.0 * np.pi:
+        weight = _WEIGHTS[kind]
+        return quad(lambda w: f(w) * weight(w * t), lo, hi, **_QUAD_OPTS)[:2]
+    return quad(f, lo, hi, weight=kind, wvar=t, **_QUAD_OPTS)[:2]
 
 
-def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain",
-                      epsabs: float = 1e-10, epsrel: float = 1e-8) -> float:
-    """Integrate f(omega) [* cos/sin(omega*t)] over (0, cutoff], piecewise.
+def spectral_integral(f, p: SystemParams, *, t: float, kind: str) -> float:
+    """Integrate f(omega) * cos/sin(omega*t) over (0, cutoff], piecewise.
 
-    ``kind`` selects the weight: "plain", "cos" or "sin". At t = 0 the
-    "sin" integral is 0 and the "cos" one is the plain integral. Raises
-    QuadratureError when the accumulated error estimate exceeds a loose
-    multiple of the requested tolerance, reporting the achieved value, or
-    when the sum is not finite (f was NaN or infinite at some sample).
+    ``kind`` selects the weight, "cos" or "sin"; any other value raises
+    KeyError. At t = 0 the "sin" integral is 0. Raises QuadratureError when
+    the accumulated error estimate exceeds a loose multiple of the fixed
+    tolerance (1e-10 absolute, 1e-8 relative), reporting the achieved value,
+    or when the sum is not finite (f was NaN or infinite at some sample).
     """
     if kind == "sin" and t == 0:
         return 0.0
     hi = frequency_cutoff(p)
-    inner = breakpoints(p)
-    edges = [0.0] + [x for x in inner if x < hi] + [hi]
-    if kind != "plain" and t * edges[1] >= _OSC_PERIODS * 2.0 * np.pi:
+    edges = [0.0, *breakpoints(p), hi]
+    if t * edges[1] >= _OSC_PERIODS * 2.0 * np.pi:
         # The oscillatory rule samples its segment's ends, and integrands
         # divided by omega are undefined at 0: the plain rule, which does
         # not sample ends, takes the first half period.
@@ -117,12 +108,12 @@ def spectral_integral(f, p: SystemParams, *, t: float = 0.0, kind: str = "plain"
     total = 0.0
     err = 0.0
     for lo, up in zip(edges[:-1], edges[1:]):
-        val, e = _segment(f, lo, up, t, kind, epsabs, epsrel, inner)
+        val, e = _segment(f, lo, up, t, kind)
         total += val
         err += e
     if not math.isfinite(total):
         raise QuadratureError(f"integral not finite ({total}): integrand not finite on (0, {hi:g}]")
-    tol = max(epsabs, epsrel * abs(total))
+    tol = max(_EPSABS, _EPSREL * abs(total))
     if err > 1e4 * tol and err > 1e-5 * abs(total):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} exceeds tolerance "

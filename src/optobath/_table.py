@@ -40,3 +40,13 @@ def to_json(fields) -> str:
     """JSON object of named fields, each a str or an array as (nested) lists."""
     return json.dumps({name: np.asarray(value).tolist() for name, value in fields.items()},
                       indent=1)
+
+
+class Table:
+    """Base of a table written as its ``columns()`` mapping, in the one layout."""
+
+    def to_csv(self) -> str:
+        return to_csv(self.columns())
+
+    def to_json(self) -> str:
+        return to_json(self.columns())

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when validation finds a failing check, 2 for
 configuration errors: bad parameters, malformed sweep specs, unreadable
-config files, and any value the library rejects with ValueError.
+config files, and any value the library rejects with ValueError or, at a
+susceptibility pole, with PoleError.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import __version__, _table
 from .msi import g_a_from_hardware_block
 from .params import SystemParams
 from .rates import compute_rates
+from .response import PoleError
 from .spectrum import compute_spectrum, g_c_max
 from .stability import stability_map
 from .validate import fig1_bare, fig1_cooled, run_checks
@@ -129,14 +131,11 @@ def _write(table, args) -> None:
     _emit(table.to_csv() if args.format == "csv" else table.to_json() + "\n", args.out)
 
 
-class _Columns(dict):
+class _Columns(dict, _table.Table):
     """A table with no library type: an ordered column name -> column mapping."""
 
-    def to_csv(self) -> str:
-        return _table.to_csv(self)
-
-    def to_json(self) -> str:
-        return _table.to_json(self)
+    def columns(self) -> dict:
+        return self
 
 
 def _fig3_table(args, grid: np.ndarray) -> _Columns:
@@ -243,7 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, PoleError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

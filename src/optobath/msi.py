@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .params import finite_real
+from .params import check_fields, finite_real
 
 HBAR_SI = 1.054571817e-34  # J*s
 
@@ -31,17 +31,11 @@ class MsiGeometry:
     l: float
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, finite_real(f.name, getattr(self, f.name)))
+        check_fields(self, positive=("omega_0", "d", "L", "l"), nonneg=("r_m",))
         # r_m = 0 (fully transparent membrane) is allowed and decouples the
         # modes; r_m = 1 would close the Sagnac path entirely
-        if not 0 <= self.r_m < 1:
+        if self.r_m >= 1:
             raise ValueError("membrane reflectivity must satisfy 0 <= r_m < 1")
-        if self.omega_0 <= 0:
-            raise ValueError("cavity resonance must be positive")
-        for name in ("d", "L", "l"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"length {name} must be positive")
 
     @property
     def effective_length(self) -> float:
@@ -64,10 +58,10 @@ def enhanced_coupling_from_hardware(geo: MsiGeometry, b_s: float, mass: float,
     g_a = G_a0 * |b_s| * sqrt(hbar/(2 M omega_m)) / omega_m with everything
     in SI; the result is in units of omega_m and feeds SystemParams.g_a.
     """
-    if mass <= 0 or omega_m <= 0:
+    if finite_real("mass", mass) <= 0 or finite_real("omega_m", omega_m) <= 0:
         raise ValueError("mass and omega_m must be positive")
     q_zpf = math.sqrt(HBAR_SI / (2.0 * mass * omega_m))
-    return msi_coupling(geo) * abs(b_s) * q_zpf / omega_m
+    return msi_coupling(geo) * abs(finite_real("b_s", b_s)) * q_zpf / omega_m
 
 
 def g_a_from_hardware_block(block: dict) -> float:

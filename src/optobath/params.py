@@ -33,6 +33,18 @@ def finite_reals(name: str, values) -> np.ndarray:
     return values
 
 
+def check_fields(record, *, positive=(), nonneg=()) -> None:
+    """Set each dataclass field to a finite float with the given sign; else ValueError."""
+    for f in fields(record):
+        object.__setattr__(record, f.name, finite_real(f.name, getattr(record, f.name)))
+    for name in positive:
+        if getattr(record, name) <= 0:
+            raise ValueError(f"{name} must be > 0, got {getattr(record, name)!r}")
+    for name in nonneg:
+        if getattr(record, name) < 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(record, name)!r}")
+
+
 def check_frequency(name: str, omega, *, allow_zero: bool = False) -> None:
     """ValueError unless every omega is finite and > 0 (>= 0 with allow_zero); only inspects."""
     w = np.asarray(omega)
@@ -61,16 +73,8 @@ class SystemParams:
     cutoff: float = 1e3      # Ohmic exponential cutoff, > 0
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, finite_real(f.name, getattr(self, f.name)))
-        positive = ("omega_m", "kappa_c", "beta", "cutoff")
-        nonneg = ("gamma_m", "kappa_a", "g_a", "g_c")
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        for name in nonneg:
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        check_fields(self, positive=("omega_m", "kappa_c", "beta", "cutoff"),
+                     nonneg=("gamma_m", "kappa_a", "g_a", "g_c"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemParams":
@@ -120,8 +124,7 @@ class DriveSpec:
     detuning: float
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("drive amplitude must be non-negative")
+        check_fields(self, nonneg=("amplitude",))
 
 
 def steady_state_amplitude(drive: DriveSpec, kappa: float) -> tuple[complex, float]:
@@ -131,7 +134,7 @@ def steady_state_amplitude(drive: DriveSpec, kappa: float) -> tuple[complex, flo
     is what enters the pump-enhanced coupling once the phase is absorbed
     into the drive definition.
     """
-    if not kappa > 0:
+    if not finite_real("kappa", kappa) > 0:
         raise ValueError("kappa must be > 0")
     amp = math.sqrt(kappa) * drive.amplitude / (1j * drive.detuning - kappa / 2.0)
     return amp, abs(amp)
@@ -145,7 +148,8 @@ def pump_coupling(drive: DriveSpec, kappa: float) -> float:
 
 def equilibrium_displacement(g_c0: float, c_s: complex, omega_m: float = 1.0) -> float:
     """Static displacement -G_c0 |c_s|^2 / omega_m^2 balancing radiation pressure."""
-    return -g_c0 * abs(c_s) ** 2 / omega_m**2
+    g_c0, omega_m = finite_real("g_c0", g_c0), finite_real("omega_m", omega_m)
+    return -g_c0 * finite_real("|c_s|", abs(c_s)) ** 2 / omega_m**2
 
 
 def optimal_detuning(kappa_c: float) -> float:
@@ -154,6 +158,6 @@ def optimal_detuning(kappa_c: float) -> float:
     This choice cancels the curvature of the low-frequency effective
     temperature, making it flat around omega = 0.
     """
-    if not kappa_c > 0:
+    if not finite_real("kappa_c", kappa_c) > 0:
         raise ValueError("kappa_c must be > 0")
     return -(SQRT3 / 2.0) * kappa_c

@@ -9,6 +9,7 @@ the drive frequency acts as a chemical potential for the photons.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ def fgr_rates(n: int, omega: float, p: SystemParams) -> tuple[float, float]:
 
     rate(n -> n+1) = (n+1) gamma_plus, rate(n -> n-1) = n gamma_minus.
     """
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"photon number must be an integer >= 0, got {n!r}")
     gp, gm = gamma_rates(omega, p)
     return (n + 1) * gp, n * gm
 
@@ -108,7 +109,7 @@ def occupation_with_loss(omega: float, p: SystemParams) -> float:
 
 
 @dataclass
-class RateTable:
+class RateTable(_table.Table):
     """Rows of (Omega, gamma_plus, gamma_minus, n_bar, n_bar_lossy)."""
 
     omega: np.ndarray
@@ -122,12 +123,6 @@ class RateTable:
         return {"Omega": self.omega, "gamma_plus": self.gamma_plus,
                 "gamma_minus": self.gamma_minus, "n_bar": self.n_bar,
                 "n_bar_lossy": self.n_bar_lossy}
-
-    def to_csv(self) -> str:
-        return _table.to_csv(self.columns())
-
-    def to_json(self) -> str:
-        return _table.to_json(self.columns())
 
 
 def compute_rates(p: SystemParams, grid=None) -> RateTable:

@@ -130,6 +130,7 @@ def detailed_balance_coth(omega, p: SystemParams):
     the production path because inverting coth is ill-conditioned near 0.
     """
     check_frequency("detailed_balance_coth: omega", omega)
+    _require_bath(p)
     w = _coupling_weight(p)
     j = _ohmic_j(omega, p)
     om = np.asarray(omega, dtype=float)
@@ -259,9 +260,9 @@ def damping_kernel(t: float, p: SystemParams) -> float:
     return spectral_integral(f, p, t=t, kind="cos")
 
 
-def default_grid(p: SystemParams, n: int = 400, lo: float = 1e-4, hi: float = 4.0):
-    """Logarithmic frequency grid resolving both the Ohmic limit and the resonance."""
-    return np.logspace(math.log10(lo * p.omega_m), math.log10(hi * p.omega_m), n)
+def default_grid(p: SystemParams, n: int = 400):
+    """Logarithmic grid of n frequencies, 1e-4 to 4 omega_m: the Ohmic limit and the resonance."""
+    return np.logspace(math.log10(1e-4 * p.omega_m), math.log10(4.0 * p.omega_m), n)
 
 
 def _checked_grid(p: SystemParams, grid) -> np.ndarray:
@@ -272,7 +273,7 @@ def _checked_grid(p: SystemParams, grid) -> np.ndarray:
 
 
 @dataclass
-class BathSpectrum:
+class BathSpectrum(_table.Table):
     """Paired (j_eff, beta_eff) samples over an ascending positive grid."""
 
     grid: np.ndarray
@@ -289,12 +290,6 @@ class BathSpectrum:
         """The table's columns by output name, in output order."""
         return {"omega": self.grid, "j_eff": self.j_eff, "beta_eff": self.beta_eff,
                 "t_eff": self.t_eff(), "flags": self.flags}
-
-    def to_csv(self) -> str:
-        return _table.to_csv(self.columns())
-
-    def to_json(self) -> str:
-        return _table.to_json(self.columns())
 
 
 def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:

@@ -119,11 +119,11 @@ def check_detailed_balance(p: SystemParams | None = None) -> dict:
                      f"{balance:.2f} eps (2 n_bar + 1), bound 8")
 
 
-def check_stability_oracle(p: SystemParams | None = None, *, seed: int = 20240801,
-                           n_draws: int = 10000) -> dict:
-    """Analytic 6x6 criteria vs eigenvalues over random draws, plus the
+def check_stability_oracle(p: SystemParams | None = None, *, seed: int = 20240801) -> dict:
+    """Analytic 6x6 criteria vs eigenvalues over 10000 random draws, plus the
     g_a = 0 boundary in g_c against g_c_max."""
     t0 = time.monotonic()
+    n_draws = 10000
     base = replace(fig1_cooled(), gamma_m=0.0)
     rng = np.random.default_rng(seed)
     g_c = rng.uniform(0.0, 0.8, n_draws)
@@ -186,9 +186,8 @@ def check_representation_equivalence(p: SystemParams | None = None) -> dict:
                      f"worst relative mismatch {worst:.2e}")
 
 
-def check_variance_consistency(p: SystemParams | None = None, *, seed: int = 7,
-                               n_traj: int = 1000) -> dict:
-    """Lyapunov <Q^2> vs the spectral integral, then Monte Carlo vs Lyapunov."""
+def check_variance_consistency(p: SystemParams | None = None, *, seed: int = 7) -> dict:
+    """Lyapunov <Q^2> vs the spectral integral, then 1000 Monte Carlo trajectories vs Lyapunov."""
     t0 = time.monotonic()
     q, skip = _white_noise_point("variance-consistency", p,
                                  "no steady covariance at gamma_m = 0")
@@ -199,8 +198,7 @@ def check_variance_consistency(p: SystemParams | None = None, *, seed: int = 7,
     spectral = q.omega_m * c0
     rel = abs(v[0, 0] - spectral) / spectral
 
-    mc = correlation.langevin_trajectory(q, seed=seed, duration=200.0, dt=0.05,
-                                         n_traj=n_traj)
+    mc = correlation.langevin_trajectory(q, seed=seed, duration=200.0, dt=0.05, n_traj=1000)
     dev = abs(mc.second[0] - v[0, 0]) / mc.stderr[0]
     elapsed = time.monotonic() - t0
     ok = rel <= 1e-3 and dev <= 3.0 and elapsed <= 120.0

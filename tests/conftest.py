@@ -1,20 +1,14 @@
-import math
 from dataclasses import replace
 
 import pytest
 
-from optobath import SystemParams
-
-SQRT3 = math.sqrt(3.0)
+from optobath.validate import fig1_cooled
 
 
 @pytest.fixture
 def fig1():
-    """Laser-cooled working point used by the figure presets."""
-    return SystemParams(
-        omega_m=1.0, gamma_m=1e-6, kappa_c=2.0 / SQRT3, kappa_a=0.0,
-        delta_a=-1.0, delta_c=-1.0, g_a=0.45, g_c=0.45, beta=1e-4, cutoff=1e3,
-    )
+    """Laser-cooled working point: the fig1-cooled preset that the goldens pin."""
+    return fig1_cooled()
 
 
 @pytest.fixture

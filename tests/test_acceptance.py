@@ -41,7 +41,7 @@ def test_criterion_4_detailed_balance_identity():
 
 
 def test_criterion_5_stability_oracle_equivalence():
-    report(5, validate.check_stability_oracle(seed=20240801, n_draws=10000))
+    report(5, validate.check_stability_oracle(seed=20240801))
 
 
 def test_criterion_6_representation_equivalence():
@@ -49,7 +49,7 @@ def test_criterion_6_representation_equivalence():
 
 
 def test_criterion_7_variance_consistency():
-    report(7, validate.check_variance_consistency(seed=7, n_traj=1000))
+    report(7, validate.check_variance_consistency(seed=7))
 
 
 def test_criterion_8_reduction_chain():

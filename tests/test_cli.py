@@ -259,6 +259,18 @@ class TestExitCodes:
         assert run_cli("rates", "--preset", "fig1-cooled", "--grid-scale", "lin",
                        "--grid-min", "0", "--grid-max", "1") == 2
 
+    def test_pole_is_config_error(self, capsys):
+        # gamma_m = 0 and delta_c = 0 put a pole of the dressed response at
+        # omega = omega_m: rates refuses it, spectrum flags its row
+        point = ("--gamma-m", "0", "--gc", "0.3", "--kappa-c", "1", "--delta-c", "0",
+                 "--ga", "0.3", "--grid-min", "0.5", "--grid-max", "1.5",
+                 "--grid-count", "3", "--grid-scale", "lin")
+        code, out, err = run_cli_text("rates", *point)
+        assert (code, out) == (2, "") and "pole" in err
+        code, out, _ = run_cli_text("spectrum", *point)
+        assert code == 0
+        assert out.splitlines()[2] == "1.000000000000e+00,nan,nan,nan,pole"
+
     def test_no_bath_is_config_error(self):
         assert run_cli("spectrum", "--gc", "0") == 2
 

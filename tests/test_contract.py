@@ -3,6 +3,8 @@
 Rates and occupations describe the bath only at a finite Omega > 0, and the
 correlation oracles only at a finite t. Each such function rejects any
 other argument with a ValueError that says so, instead of returning NaN.
+The drive, hardware and golden-rule helpers reject a non-finite number or a
+bool the same way.
 """
 
 import math
@@ -69,3 +71,33 @@ def test_series_accepts_n_freq_at_grid_floor(fig1, n_freq):
     c0 = abs(ob.c_qq_total(0.0, fig1))
     for t, v in zip(series.times, series.values):
         assert abs(v - ob.c_qq_total(t, fig1)) < 1e-3 * c0
+
+
+def _hardware_coupling(**overrides):
+    geometry = ob.MsiGeometry(r_m=0.3, omega_0=1e15, d=0.03, L=0.05, l=0.02)
+    return ob.enhanced_coupling_from_hardware(
+        geometry, **{"b_s": 1e4, "mass": 1e-11, "omega_m": 1e6, **overrides})
+
+
+HELPER_CASES = {
+    "steady_state_amplitude-kappa-inf":
+        (lambda p: ob.steady_state_amplitude(ob.DriveSpec(1, 1, 0), math.inf), "finite"),
+    "optimal_detuning-inf": (lambda p: ob.optimal_detuning(math.inf), "finite"),
+    "equilibrium_displacement-nan": (lambda p: ob.equilibrium_displacement(math.nan, 1), "finite"),
+    "pump_coupling-coupling-nan":
+        (lambda p: ob.pump_coupling(ob.DriveSpec(math.nan, 1, 0), 1.0), "finite"),
+    "drive_spec-amplitude-bool": (lambda p: ob.DriveSpec(1.0, True, 0.0), "finite"),
+    "hardware-b_s-nan": (lambda p: _hardware_coupling(b_s=math.nan), "finite"),
+    "hardware-mass-nan": (lambda p: _hardware_coupling(mass=math.nan), "finite"),
+    "hardware-omega_m-inf": (lambda p: _hardware_coupling(omega_m=math.inf), "finite"),
+    "fgr_rates-n-nan": (lambda p: ob.fgr_rates(math.nan, 0.3, p), "integer"),
+    "fgr_rates-n-1.5": (lambda p: ob.fgr_rates(1.5, 0.3, p), "integer"),
+    "fgr_rates-n-bool": (lambda p: ob.fgr_rates(True, 0.3, p), "integer"),
+}
+
+
+@pytest.mark.parametrize("name", HELPER_CASES)
+def test_helpers_reject_non_finite_input(fig1, name):
+    call, message = HELPER_CASES[name]
+    with pytest.raises(ValueError, match=message):
+        call(fig1)

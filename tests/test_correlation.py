@@ -16,6 +16,7 @@ from optobath import (
     chi_q,
     correlation_series,
     damping_kernel,
+    detailed_balance_coth,
     diffusion_matrix,
     drift_matrix_qc,
     langevin_trajectory,
@@ -308,7 +309,9 @@ class TestNoBath:
         lambda p: c_qq_total(0.5, p),
         lambda p: correlation_series(p, [0.0, 1.0]),
         lambda p: c_qq_representation(0.5, p),
-    ], ids=["damping_kernel", "c_qq_total", "correlation_series", "c_qq_representation"])
+        lambda p: detailed_balance_coth(0.5, p),
+    ], ids=["damping_kernel", "c_qq_total", "correlation_series", "c_qq_representation",
+            "detailed_balance_coth"])
     def test_rejected_with_shared_message(self, call):
         with pytest.raises(ValueError, match="no bath: gamma_m = 0 and g_c\\^2 = 0"):
             call(SystemParams(gamma_m=0.0, g_c=0.0))

@@ -310,7 +310,15 @@ def test_quadrature_nonconvergence_reported():
     p = SystemParams(g_c=0.3, kappa_c=1.0, delta_c=-0.8, gamma_m=0.0)
     nasty = lambda w: math.sin(1e7 / (w + 1e-12)) * 1e3
     with pytest.raises(QuadratureError, match="tolerance"):
-        spectral_integral(nasty, p, epsabs=1e-14, epsrel=1e-14)
+        spectral_integral(nasty, p, t=0.0, kind="cos")
+
+
+def test_unknown_weight_rejected(fig1):
+    # only cos and sin weights exist; any other kind is not integrated unweighted
+    from optobath._quad import spectral_integral
+
+    with pytest.raises(KeyError):
+        spectral_integral(lambda w: 1.0, fig1, t=0.0, kind="plain")
 
 
 def test_non_finite_integral_reported():
@@ -325,7 +333,7 @@ def test_non_finite_integral_reported():
         return math.nan if len(calls) == 10 else 1.0
 
     with pytest.raises(QuadratureError, match="not finite"):
-        spectral_integral(nan_once, p)
+        spectral_integral(nan_once, p, t=0.0, kind="cos")
 
 
 @pytest.mark.parametrize("name, omega, message", [

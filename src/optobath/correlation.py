@@ -18,7 +18,6 @@ colored and is validated in the frequency domain instead.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from . import _table
 from ._quad import QuadratureError, frequency_cutoff, resonance_peak, spectral_integral
-from .params import SystemParams, finite_real, finite_reals
+from .params import SystemParams, count_at_least, finite_real, finite_reals
 from .response import chi_q_inv, lorentzian, lorentzian_asymmetry
 from .spectrum import _beta_eff, _j_eff, _ohmic_j, _require_bath
 from .stability import require_stable
@@ -214,8 +213,7 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     times = finite_reals("times", times)
     if times.ndim != 1:
         raise ValueError("times must be a 1-d array")
-    if isinstance(n_freq, bool) or not isinstance(n_freq, numbers.Integral) or n_freq < 1000:
-        raise ValueError(f"n_freq must be an integer >= 1000, got {n_freq!r}")
+    n_freq = count_at_least("n_freq", n_freq, 1000)
     starts, steps, w, q = _gauss_frequency_grid(p, n_freq)
     q_cos, q_sin = (0.0 * q, 0.0 * q) if pair is None else (q * f(w) for f in pair)
     # q_cos cos(wt) - i q_sin sin(wt) = a e^{iwt} + conj(b e^{iwt}), a, b = (q_cos -+ q_sin)/2
@@ -304,8 +302,9 @@ def langevin_trajectory(p: SystemParams, *, seed: int, duration: float = 200.0,
     autocorrelation within a run.
     """
     a = _white_noise_drift(p, "trajectory")
-    if not (0 < dt <= duration < math.inf and 0 <= burn_in < duration and n_traj >= 2):
-        raise ValueError("need 0 < dt <= duration < inf, 0 <= burn_in < duration, n_traj >= 2")
+    n_traj = count_at_least("n_traj", n_traj, 2)
+    if not (0 < dt <= duration < math.inf and 0 <= burn_in < duration):
+        raise ValueError("need 0 < dt <= duration < inf, 0 <= burn_in < duration")
     n_steps = round(duration / dt)
     n_burn = round(burn_in / dt)
     if n_burn >= n_steps:

@@ -25,6 +25,20 @@ def finite_real(name: str, value) -> float:
     return float(value)
 
 
+def _finite_result(name: str, value: float) -> float:
+    """``value`` if it is finite; else ValueError, as finite inputs overflowed it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite ({value!r}): the inputs overflow it")
+    return value
+
+
+def count_at_least(name: str, value, floor: int) -> int:
+    """``value`` as an int if it is an integer >= floor, not a bool; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    return int(value)
+
+
 def finite_reals(name: str, values) -> np.ndarray:
     """``values`` as a float array if every entry is finite; else ValueError."""
     values = np.asarray(values, dtype=float)
@@ -137,19 +151,22 @@ def steady_state_amplitude(drive: DriveSpec, kappa: float) -> tuple[complex, flo
     if not finite_real("kappa", kappa) > 0:
         raise ValueError("kappa must be > 0")
     amp = math.sqrt(kappa) * drive.amplitude / (1j * drive.detuning - kappa / 2.0)
-    return amp, abs(amp)
+    return amp, _finite_result("steady amplitude", abs(amp))
 
 
 def pump_coupling(drive: DriveSpec, kappa: float) -> float:
     """Pump-enhanced coupling g = (G0 q_zpf) * |steady amplitude|."""
     _, mag = steady_state_amplitude(drive, kappa)
-    return drive.coupling * mag
+    return _finite_result("pump coupling", drive.coupling * mag)
 
 
 def equilibrium_displacement(g_c0: float, c_s: complex, omega_m: float = 1.0) -> float:
     """Static displacement -G_c0 |c_s|^2 / omega_m^2 balancing radiation pressure."""
     g_c0, omega_m = finite_real("g_c0", g_c0), finite_real("omega_m", omega_m)
-    return -g_c0 * finite_real("|c_s|", abs(c_s)) ** 2 / omega_m**2
+    if omega_m <= 0:
+        raise ValueError("omega_m must be > 0")
+    ratio = finite_real("|c_s|", abs(c_s)) / omega_m
+    return _finite_result("equilibrium displacement", -g_c0 * ratio * ratio)
 
 
 def optimal_detuning(kappa_c: float) -> float:

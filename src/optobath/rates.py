@@ -9,13 +9,12 @@ the drive frequency acts as a chemical potential for the photons.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _table
-from .params import SystemParams, q_zpf_squared, thermal_occupation
+from .params import SystemParams, count_at_least, q_zpf_squared, thermal_occupation
 from .spectrum import _checked_grid, beta_eff, j_eff
 
 
@@ -69,8 +68,7 @@ def fgr_rates(n: int, omega: float, p: SystemParams) -> tuple[float, float]:
 
     rate(n -> n+1) = (n+1) gamma_plus, rate(n -> n-1) = n gamma_minus.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"photon number must be an integer >= 0, got {n!r}")
+    n = count_at_least("photon number", n, 0)
     gp, gm = gamma_rates(omega, p)
     return (n + 1) * gp, n * gm
 

@@ -10,10 +10,6 @@ import numpy as np
 
 from .params import SystemParams
 
-# |inverse response| below this is treated as an exact pole (underflow scale).
-_POLE_EPS = 1e-300
-
-
 class PoleError(ArithmeticError):
     """The (dressed) inverse susceptibility underflowed at a real frequency."""
 
@@ -23,6 +19,11 @@ def chi_q0_inv(omega, p: SystemParams):
     return p.omega_m**2 - omega * omega - 1j * omega * p.gamma_m
 
 
+def _at_pole(inv):
+    """Where an inverse response is treated as an exact pole: |inv| below the underflow scale."""
+    return np.abs(inv) < 1e-300
+
+
 def chi_q0(omega, p: SystemParams):
     """Bare mechanical susceptibility 1/(omega_m^2 - omega^2 - i*omega*gamma_m).
 
@@ -30,7 +31,7 @@ def chi_q0(omega, p: SystemParams):
     gamma_m = 0, omega = +/- omega_m.
     """
     inv = chi_q0_inv(omega, p)
-    if np.any(np.abs(inv) < _POLE_EPS):
+    if np.any(_at_pole(inv)):
         raise PoleError("bare susceptibility pole (gamma_m = 0 at omega = +/- omega_m)")
     return 1.0 / inv
 
@@ -55,7 +56,7 @@ def chi_q_inv(omega, p: SystemParams):
 def chi_q(omega, p: SystemParams):
     """Dressed mechanical susceptibility 1/(chi_q0_inv(omega) + Sigma(omega))."""
     inv = chi_q_inv(omega, p)
-    if np.any(np.abs(inv) < _POLE_EPS):
+    if np.any(_at_pole(inv)):
         raise PoleError("dressed susceptibility pole")
     return 1.0 / inv
 

@@ -22,14 +22,8 @@ import numpy as np
 
 from . import _table
 from ._quad import spectral_integral
-from .params import SystemParams, check_frequency, finite_real, thermal_occupation
-from .response import (
-    _POLE_EPS,
-    PoleError,
-    chi_q_inv,
-    lorentzian,
-    lorentzian_asymmetry,
-)
+from .params import SystemParams, check_frequency, count_at_least, finite_real, thermal_occupation
+from .response import PoleError, _at_pole, chi_q_inv, lorentzian, lorentzian_asymmetry
 
 FLAG_OK = ""
 FLAG_POLE = "pole"
@@ -76,7 +70,7 @@ def j_eff(omega, p: SystemParams):
     gated by the narrow mechanical resonance, lacks.
     """
     check_frequency("j_eff: omega", omega)
-    if np.any(np.abs(chi_q_inv(omega, p)) < _POLE_EPS):
+    if np.any(_at_pole(chi_q_inv(omega, p))):
         raise PoleError("dressed susceptibility pole inside j_eff")
     return _j_eff(omega, p)
 
@@ -262,13 +256,16 @@ def damping_kernel(t: float, p: SystemParams) -> float:
 
 def default_grid(p: SystemParams, n: int = 400):
     """Logarithmic grid of n frequencies, 1e-4 to 4 omega_m: the Ohmic limit and the resonance."""
+    n = count_at_least("n", n, 1)
     return np.logspace(math.log10(1e-4 * p.omega_m), math.log10(4.0 * p.omega_m), n)
 
 
 def _checked_grid(p: SystemParams, grid) -> np.ndarray:
-    """``grid`` as a float array, default_grid(p) when None; every point finite and > 0."""
+    """``grid`` as a float array, default_grid(p) when None; 1-d, ascending, finite, > 0."""
     grid = default_grid(p) if grid is None else np.asarray(grid, dtype=float)
     check_frequency("grid points", grid)
+    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be a non-empty, strictly ascending 1-d array")
     return grid
 
 
@@ -301,11 +298,7 @@ def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:
     """
     _require_bath(p)
     grid = _checked_grid(p, grid)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a non-empty, strictly ascending 1-d array")
-
-    inv = chi_q_inv(grid, p)
-    pole = np.abs(inv) < _POLE_EPS
+    pole = _at_pole(chi_q_inv(grid, p))
     j = np.full_like(grid, np.nan)
     b = np.full_like(grid, np.nan)
     ok = ~pole

@@ -171,8 +171,10 @@ def stability_report(p: SystemParams) -> StabilityReport:
 
     Analytic fields are None where their validity conditions fail
     (off-optimal detuning for s1..s3, blue detuning for the 4x4 criterion).
+    The eigenvalues are stability_map's: of the 6x6 matrix when g_a > 0,
+    of the 4x4 matrix otherwise.
     """
-    abscissa, eigs = _abscissae(drift_matrix_full(p))
+    abscissa, eigs = _abscissae(drift_matrix_full(p) if p.g_a > 0 else drift_matrix_qc(p))
     s1 = s2 = s3 = None
     if at_optimal_detuning(p):
         s1, s2, s3, _ = full_criteria(p)

@@ -131,9 +131,10 @@ def check_stability_oracle(p: SystemParams | None = None, *, seed: int = 2024080
     d_a = rng.uniform(-5.0, -0.1, n_draws)
     draws = {**vars(base), "g_c": g_c, "g_a": g_a, "delta_a": d_a}
     *_, verdicts = stability.analytic_criteria(draws)
-    abscissa = np.max(np.linalg.eigvals(stability.drift_matrices(draws)).real, axis=1)
-    outside = np.abs(abscissa) > stability.MARGIN
-    disagreements = int(np.sum(verdicts[outside] != (abscissa[outside] < 0)))
+    abscissa = stability._abscissae(stability.drift_matrices(draws))[0]
+    eigen = stability._verdicts(abscissa)
+    outside = eigen != stability.MARGINAL
+    disagreements = int(np.sum(verdicts[outside] != (eigen[outside] == stability.STABLE)))
 
     lo, hi = 0.01, 0.8
     probe = replace(base, g_a=0.0)

@@ -4,10 +4,14 @@ Rates and occupations describe the bath only at a finite Omega > 0, and the
 correlation oracles only at a finite t. Each such function rejects any
 other argument with a ValueError that says so, instead of returning NaN.
 The drive, hardware and golden-rule helpers reject a non-finite number or a
-bool the same way.
+bool the same way, and a finite input whose result overflows. Counts (photon
+number, grid size, frequency nodes, trajectories) must be integers, not bools,
+at or above their floor. Both tables take a non-empty, strictly ascending 1-d
+grid.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +97,22 @@ HELPER_CASES = {
     "fgr_rates-n-nan": (lambda p: ob.fgr_rates(math.nan, 0.3, p), "integer"),
     "fgr_rates-n-1.5": (lambda p: ob.fgr_rates(1.5, 0.3, p), "integer"),
     "fgr_rates-n-bool": (lambda p: ob.fgr_rates(True, 0.3, p), "integer"),
+    "equilibrium_displacement-omega_m-0":
+        (lambda p: ob.equilibrium_displacement(1.0, 1.0, 0.0), "omega_m must be > 0"),
+    "equilibrium_displacement-omega_m-negative":
+        (lambda p: ob.equilibrium_displacement(1.0, 1.0, -1.0), "omega_m must be > 0"),
+    "steady_state_amplitude-overflow":
+        (lambda p: ob.steady_state_amplitude(ob.DriveSpec(1.0, 1e308, 0.0), 1.0), "not finite"),
+    "pump_coupling-overflow":
+        (lambda p: ob.pump_coupling(ob.DriveSpec(1e300, 1e10, 0.0), 1.0), "not finite"),
+    "equilibrium_displacement-overflow":
+        (lambda p: ob.equilibrium_displacement(1e300, 1e10, 1.0), "not finite"),
+    "default_grid-n-bool": (lambda p: ob.default_grid(p, n=True), "n must be an integer >= 1"),
+    "default_grid-n-0": (lambda p: ob.default_grid(p, n=0), "n must be an integer >= 1"),
+    "default_grid-n-2.5": (lambda p: ob.default_grid(p, n=2.5), "n must be an integer >= 1"),
+    "langevin_trajectory-n_traj-2.5":
+        (lambda p: ob.langevin_trajectory(replace(p, gamma_m=0.0), seed=1, n_traj=2.5),
+         "n_traj must be an integer >= 2"),
 }
 
 
@@ -101,3 +121,14 @@ def test_helpers_reject_non_finite_input(fig1, name):
     call, message = HELPER_CASES[name]
     with pytest.raises(ValueError, match=message):
         call(fig1)
+
+
+GRIDS_NOT_ASCENDING_1D = {"0d": 0.3, "2d": [[0.1, 0.2], [0.3, 0.4]], "empty": [],
+                          "unsorted": [0.2, 0.1], "repeated": [0.1, 0.1]}
+
+
+@pytest.mark.parametrize("table", ["compute_spectrum", "compute_rates"])
+@pytest.mark.parametrize("grid", GRIDS_NOT_ASCENDING_1D)
+def test_tables_reject_grid_not_ascending_1d(fig1, table, grid):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        getattr(ob, table)(fig1, GRIDS_NOT_ASCENDING_1D[grid])

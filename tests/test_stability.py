@@ -260,6 +260,15 @@ class TestStabilityReport:
         rep_blue = stability_report(replace(fig1, delta_c=+1.0))
         assert rep_blue.rh_stable is None
 
+    def test_decoupled_probe_uses_4x4_matrix(self, fig1):
+        # at g_a = 0 the probe is an undamped rotation, which would pin the
+        # 6x6 abscissa at 0 and report every working point marginal
+        rep = stability_report(replace(fig1, g_a=0.0))
+        assert len(rep.eigenvalues) == 4
+        assert rep.eig_stable == STABLE
+        smap = stability_map(fig1, "g_a", np.array([0.0]), "g_c", np.array([fig1.g_c]))
+        assert (rep.spectral_abscissa, rep.eig_stable) == (smap.abscissa[0, 0], smap.eigen[0, 0])
+
 
 class TestStabilityMap:
     def test_threshold_boundary_without_probe(self, fig1_cold):
@@ -361,6 +370,9 @@ def assert_map_matches_reference(p, var1, values1, var2, values2):
     for name in ("s1", "s2", "s3", "abscissa", "eigen", "disagree"):
         np.testing.assert_array_equal(getattr(smap, name), ref[name], err_msg=name)
     assert smap.analytic.tolist() == ref["analytic"].tolist()
+    for (i, k), abscissa in np.ndenumerate(smap.abscissa):
+        rep = stability_report(replace(p, **{var1: float(values1[i]), var2: float(values2[k])}))
+        assert (rep.spectral_abscissa, rep.eig_stable) == (abscissa, smap.eigen[i, k])
     return smap
 
 

@@ -18,18 +18,11 @@ import numpy as np
 
 from . import __version__, _table
 from .msi import g_a_from_hardware_block
-from .params import SystemParams
+from .params import PRESETS, SystemParams, fig1_cooled
 from .rates import compute_rates
 from .response import PoleError
 from .spectrum import compute_spectrum, g_c_max
 from .stability import stability_map
-from .validate import fig1_bare, fig1_cooled, run_checks
-
-
-PRESETS = {
-    "fig1-bare": fig1_bare,
-    "fig1-cooled": fig1_cooled,
-}
 
 # Cooling-drive family for the laser-cooling-dominated sweep, as fractions
 # of g_c_max. The drive-off member keeps a small gamma_m and hot bath so its
@@ -183,6 +176,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validate import run_checks  # the oracles load only for this command
     p = build_params(args)
     report = run_checks(p, seed=args.seed)
     text = json.dumps(report, indent=1) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, fields, asdict, replace
 
 import numpy as np
 
@@ -105,6 +105,23 @@ class SystemParams:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def fig1_cooled() -> SystemParams:
+    """Bath-engine parameters of the laser-cooled working point."""
+    return SystemParams(
+        omega_m=1.0, gamma_m=1e-6, kappa_c=2.0 / SQRT3, kappa_a=0.0,
+        delta_a=-1.0, delta_c=-1.0, g_a=0.45, g_c=0.45, beta=1e-4, cutoff=1e3,
+    )
+
+
+def fig1_bare() -> SystemParams:
+    """Same mechanics with the cooling drive off."""
+    return replace(fig1_cooled(), g_c=0.0)
+
+
+# Named parameter sets, by the CLI's --preset spelling.
+PRESETS = {"fig1-bare": fig1_bare, "fig1-cooled": fig1_cooled}
 
 
 def q_zpf_squared(omega_m: float = 1.0) -> float:

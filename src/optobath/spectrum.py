@@ -108,11 +108,15 @@ def _beta_eff(omega, p: SystemParams):
     if not underflow.any():
         return np.log1p(imbalance / downward) / omega
     # Cold bath: take the flux ratio in logs, log n = -bw - log(1 - exp(-bw)).
-    bw = p.beta * np.asarray(omega, dtype=float)
+    # log J is taken in its factors, since J itself underflows past ~745 cutoffs.
+    om = np.asarray(omega, dtype=float)
+    bw = p.beta * om
     with np.errstate(divide="ignore"):
-        log_down = np.logaddexp(np.log(j) - bw - np.log(-np.expm1(-bw)), np.log(coupled_down))
-        x = np.where(underflow, np.logaddexp(0.0, np.log(imbalance) - log_down),
-                     np.log1p(imbalance / downward))
+        log_j = np.log(p.gamma_m * om) - om / p.cutoff
+        log_down = np.logaddexp(log_j - bw - np.log(-np.expm1(-bw)), np.log(coupled_down))
+        log_imbalance = log_j if w == 0.0 else np.log(imbalance)
+        x = np.where(underflow, np.logaddexp(0.0, log_imbalance - log_down),
+                     np.log1p(imbalance / np.where(underflow, 1.0, downward)))
     return x / omega
 
 

@@ -232,15 +232,33 @@ class StabilityMap:
                                "var2": self.var2, "values2": self.values2, **self._cells()})
 
 
-def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> StabilityMap:
-    """Sweep two different parameters, recording analytic and eigenvalue verdicts per cell.
+def _classify(cells, shape) -> dict:
+    """StabilityMap's per-cell fields for a SystemParams field mapping broadcast to ``shape``.
 
-    The eigenvalue verdict uses the 6x6 matrix when the cell has g_a > 0 and
-    the 4x4 matrix otherwise (a decoupled probe contributes an undamped
-    rotation that would mask the bath engine's own stability). The
-    disagreement mask is set only where the analytic form applies (optimal
-    detuning, gamma_m = 0) and the abscissa is outside the marginal band.
+    The eigenvalue verdict reads the 6x6 matrix where g_a > 0 and the 4x4 one otherwise (a
+    decoupled probe's undamped rotation would mask the bath engine's own stability). The
+    analytic criteria apply at optimal detuning with gamma_m = 0 (elsewhere s1..s3 are NaN
+    and analytic is None); disagree is set where they apply and the abscissa is not marginal.
     """
+    cells = {name: np.broadcast_to(value, shape) for name, value in cells.items()}
+    mats = drift_matrices(cells)
+    abscissa = _abscissae(mats)[0]
+    decoupled = cells["g_a"] <= 0  # overwritten in place: mats[g_a > 0] would copy the stack
+    abscissa[decoupled] = _abscissae(mats[decoupled, :4, :4])[0]
+    eigen = _verdicts(abscissa)
+
+    applies = _at_optimal(cells) & (cells["gamma_m"] == 0.0)
+    c1, c2, c3, ok = analytic_criteria(cells)
+    s1, s2, s3 = (np.where(applies, c, np.nan) for c in (c1, c2, c3))
+    analytic = np.full(shape, None, dtype=object)
+    analytic[applies] = ok[applies]
+    disagree = applies & (eigen != MARGINAL) & (ok != (eigen == STABLE))
+    return {"s1": s1, "s2": s2, "s3": s3, "abscissa": abscissa,
+            "analytic": analytic, "eigen": eigen, "disagree": disagree}
+
+
+def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> StabilityMap:
+    """Sweep two different parameters, recording each cell's verdicts by ``_classify``'s rules."""
     for v in (var1, var2):
         if v not in _SWEEPABLE:
             raise ValueError(f"cannot sweep {v!r}; choose from {_SWEEPABLE}")
@@ -255,25 +273,6 @@ def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> St
         for v in values:
             replace(p, **{var: float(v)})  # SystemParams rejects invalid swept values
 
-    shape = (len(values1), len(values2))
     grid1, grid2 = np.meshgrid(values1, values2, indexing="ij")
-    cells = {name: np.broadcast_to(value, shape)
-             for name, value in {**vars(p), var1: grid1, var2: grid2}.items()}
-    mats = drift_matrices(cells)
-    probe = cells["g_a"] > 0
-    abscissa = np.empty(shape)
-    abscissa[probe] = _abscissae(mats[probe])[0]
-    abscissa[~probe] = _abscissae(mats[~probe][:, :4, :4])[0]
-    eigen = _verdicts(abscissa)
-
-    applies = _at_optimal(cells) & (cells["gamma_m"] == 0.0)
-    c1, c2, c3, ok = analytic_criteria(cells)
-    s1, s2, s3 = (np.where(applies, c, np.nan) for c in (c1, c2, c3))
-    analytic = np.full(shape, None, dtype=object)
-    analytic[applies] = ok[applies]
-    disagree = applies & (eigen != MARGINAL) & (ok != (eigen == STABLE))
-    return StabilityMap(
-        var1=var1, values1=values1, var2=var2, values2=values2,
-        s1=s1, s2=s2, s3=s3, abscissa=abscissa,
-        analytic=analytic, eigen=eigen, disagree=disagree,
-    )
+    cells = _classify({**vars(p), var1: grid1, var2: grid2}, grid1.shape)
+    return StabilityMap(var1=var1, values1=values1, var2=var2, values2=values2, **cells)

@@ -15,20 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import correlation, rates, spectrum, stability
-from .params import SQRT3, SystemParams
-
-
-def fig1_cooled() -> SystemParams:
-    """Bath-engine parameters of the laser-cooled working point."""
-    return SystemParams(
-        omega_m=1.0, gamma_m=1e-6, kappa_c=2.0 / SQRT3, kappa_a=0.0,
-        delta_a=-1.0, delta_c=-1.0, g_a=0.45, g_c=0.45, beta=1e-4, cutoff=1e3,
-    )
-
-
-def fig1_bare() -> SystemParams:
-    """Same mechanics with the cooling drive off."""
-    return replace(fig1_cooled(), g_c=0.0)
+from .params import SystemParams, fig1_bare, fig1_cooled
 
 
 def _result(name, status, measured=None, tolerance=None, detail=""):
@@ -129,12 +116,10 @@ def check_stability_oracle(p: SystemParams | None = None, *, seed: int = 2024080
     g_c = rng.uniform(0.0, 0.8, n_draws)
     g_a = rng.uniform(0.0, 0.6, n_draws)
     d_a = rng.uniform(-5.0, -0.1, n_draws)
-    draws = {**vars(base), "g_c": g_c, "g_a": g_a, "delta_a": d_a}
-    *_, verdicts = stability.analytic_criteria(draws)
-    abscissa = stability._abscissae(stability.drift_matrices(draws))[0]
-    eigen = stability._verdicts(abscissa)
-    outside = eigen != stability.MARGINAL
-    disagreements = int(np.sum(verdicts[outside] != (eigen[outside] == stability.STABLE)))
+    cells = stability._classify({**vars(base), "g_c": g_c, "g_a": g_a, "delta_a": d_a},
+                                g_c.shape)
+    outside = cells["eigen"] != stability.MARGINAL
+    disagreements = int(cells["disagree"].sum())
 
     lo, hi = 0.01, 0.8
     probe = replace(base, g_a=0.0)

@@ -183,7 +183,7 @@ class TestValidateCommand:
         assert code == 0
 
     def test_validation_failure_gives_exit_code_1(self, tmp_path, monkeypatch):
-        import optobath.cli as cli
+        import optobath.validate as validate
 
         def failing(p, seed):
             return {
@@ -194,7 +194,7 @@ class TestValidateCommand:
                             "measured": 1.0, "tolerance": 0.0, "detail": ""}],
             }
 
-        monkeypatch.setattr(cli, "run_checks", lambda p, seed: failing(p, seed))
+        monkeypatch.setattr(validate, "run_checks", lambda p, seed: failing(p, seed))
         assert run_cli("validate", "-o", str(tmp_path / "r.json")) == 1
 
     def test_blue_detuned_params_do_not_crash(self, tmp_path):
@@ -347,6 +347,15 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("omega,")
+
+
+def test_presets_live_in_params_and_cli_loads_validate_only_to_validate():
+    import optobath.params
+    import optobath.validate
+
+    assert optobath.validate.fig1_cooled is optobath.params.fig1_cooled
+    code = "import sys, optobath.cli; assert 'optobath.validate' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 @pytest.mark.parametrize("command", ["spectrum", "rates", "stability", "validate"])

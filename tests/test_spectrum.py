@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from optobath import (
     beta_opt,
     beta_opt_expansion,
     chi_q,
+    compute_rates,
     compute_spectrum,
     damping_kernel,
     default_grid,
@@ -21,6 +23,7 @@ from optobath import (
     eta_eff,
     eta_opt,
     g_c_max,
+    gamma_rates,
     j_eff,
     ohmic_j,
 )
@@ -87,6 +90,20 @@ class TestBetaEff:
         p = SystemParams(gamma_m=1e-3, g_c=0.0, beta=10.0**log_beta_omega / omega)
         assert abs(beta_eff(omega, p) - p.beta) <= 1e-12 * p.beta
         assert compute_spectrum(p, np.array([omega])).flags == [""]
+
+    @pytest.mark.parametrize("omega", [7.46e5, 1e6, 1e7])
+    def test_bare_bath_recovers_beta_past_ohmic_underflow(self, fig1_bare, omega):
+        # from omega ~ 745 cutoffs J underflows to 0; beta_eff must still be beta, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = beta_eff(omega, fig1_bare)
+            spec = compute_spectrum(fig1_bare, np.array([omega]))
+            table = compute_rates(fig1_bare, np.array([omega]))
+            rates = gamma_rates(omega, fig1_bare)
+        assert abs(value - fig1_bare.beta) <= 1e-12 * fig1_bare.beta
+        assert spec.flags == [""]
+        rows = [spec.j_eff, spec.beta_eff, *table.columns().values(), rates]
+        assert all(np.isfinite(row).all() for row in rows)
 
     def test_low_frequency_temperature_reduction(self, fig1):
         # closed-form limit 2.8382; T_eff/T = 1e-4/2.8382 = 3.52e-5

@@ -22,7 +22,7 @@ from optobath import (
     stability_map,
     stability_report,
 )
-from optobath.stability import at_optimal_detuning, require_stable
+from optobath.stability import _classify, at_optimal_detuning, require_stable
 from optobath.validate import fig1_cooled
 
 SQRT3 = math.sqrt(3.0)
@@ -401,3 +401,23 @@ def test_stability_map_matches_per_cell_route_at_special_cells(fig1_cold):
 def test_invalid_swept_value_rejected(fig1_cold, var, value):
     with pytest.raises(ValueError):
         stability_map(fig1_cold, var, np.array([value, 0.5]), "g_c", np.array([0.1]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_classification_matches_per_cell_route(fig1_cold, seed):
+    # the stability oracle's 1-d draws of (g_c, g_a, delta_a), with g_a = 0
+    # mixed in so the 4x4 overwrite runs on a 1-d stack
+    rng = np.random.default_rng(seed)
+    n = 40
+    g_c = rng.uniform(0.0, 0.8, n)
+    g_a = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 0.6, n))
+    d_a = rng.uniform(-5.0, -0.1, n)
+    assert 0 < np.sum(g_a == 0) < n
+    cells = _classify({**vars(fig1_cold), "g_c": g_c, "g_a": g_a, "delta_a": d_a}, (n,))
+    for i in range(n):
+        cell = replace(fig1_cold, g_c=g_c[i], g_a=g_a[i], delta_a=d_a[i])
+        abscissa, verdict = eigen_stable(
+            drift_matrix_full(cell) if cell.g_a > 0 else drift_matrix_qc(cell))
+        *_, ok = full_criteria(cell)
+        assert (cells["abscissa"][i], cells["eigen"][i]) == (abscissa, verdict)
+        assert cells["disagree"][i] == (verdict != MARGINAL and ok != (verdict == STABLE))

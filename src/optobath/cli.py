@@ -18,27 +18,22 @@ import numpy as np
 
 from . import __version__, _table
 from .msi import g_a_from_hardware_block
-from .params import PRESETS, SystemParams, fig1_cooled
+from .params import PRESETS, SystemParams, fig1_bare, fig1_cooled
 from .rates import compute_rates
 from .response import PoleError
 from .spectrum import compute_spectrum, g_c_max
 from .stability import stability_map
 
 # Cooling-drive family for the laser-cooling-dominated sweep, as fractions
-# of g_c_max. The drive-off member keeps a small gamma_m and hot bath so its
-# bath is defined at all.
+# of g_c_max. The drive-off member is fig1-bare, whose small gamma_m and hot
+# bath keep its bath defined at all.
 FIG3_FRACTIONS = (0.0, 0.24, 0.48, 0.72, 0.96)
 
 
 def fig3_family() -> list[SystemParams]:
     base = replace(fig1_cooled(), gamma_m=0.0, g_c=0.0)
-    members = []
-    for frac in FIG3_FRACTIONS:
-        if frac == 0.0:
-            members.append(replace(base, gamma_m=1e-6, beta=1e-4))
-        else:
-            members.append(replace(base, g_c=frac * g_c_max(base)))
-    return members
+    return [fig1_bare() if frac == 0.0 else replace(base, g_c=frac * g_c_max(base))
+            for frac in FIG3_FRACTIONS]
 
 
 # SystemParams field -> override flag: the field name with "-" for "_",
@@ -86,11 +81,10 @@ def build_params(args) -> SystemParams:
             raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError("config document must be a JSON object")
-        hardware = loaded.pop("hardware", None)
-        if hardware is not None:
+        if "hardware" in loaded:
             if "g_a" in loaded:
                 raise ValueError('config gives g_a twice: as "g_a" and through its "hardware" block')
-            loaded["g_a"] = g_a_from_hardware_block(hardware)
+            loaded["g_a"] = g_a_from_hardware_block(loaded.pop("hardware"))
         data.update(loaded)
     data.update(_overrides(args))
     return SystemParams.from_dict(data)

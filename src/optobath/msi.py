@@ -70,6 +70,8 @@ def g_a_from_hardware_block(block: dict) -> float:
     Expects keys r_m, omega_0, d, L, l, b_s, mass, omega_m_si (SI units)
     and returns the dimensionless g_a.
     """
+    if not isinstance(block, dict):
+        raise ValueError("hardware block must be a JSON object")
     required = {"r_m", "omega_0", "d", "L", "l", "b_s", "mass", "omega_m_si"}
     missing = required - set(block)
     if missing:

@@ -35,10 +35,6 @@ def _noise_sides(omega, p: SystemParams):
     return 2.0 * j * n, 2.0 * j * (n + 1.0), be, n
 
 
-def _rate_prefactor(p: SystemParams) -> float:
-    return p.g_a**2 / q_zpf_squared(p.omega_m)
-
-
 def s_qq(omega: float, p: SystemParams) -> float:
     """Two-sided quantum noise spectrum of the mechanical coordinate.
 
@@ -57,10 +53,10 @@ def gamma_rates(omega: float, p: SystemParams) -> tuple[float, float]:
     gamma_plus = (g_a^2/q_zpf^2) S(-Omega) = 4 g_a^2 omega_m j_eff n_eff,
     gamma_minus = (g_a^2/q_zpf^2) S(+Omega) = 4 g_a^2 omega_m j_eff (n_eff+1);
     their difference is the net thermalization rate 4 g_a^2 omega_m j_eff.
+    Row 0 of compute_rates(p, [Omega]).
     """
-    absorption, emission, _, _ = _noise_sides(omega, p)
-    pref = _rate_prefactor(p)
-    return float(pref * absorption), float(pref * emission)
+    table = compute_rates(p, [omega])
+    return float(table.gamma_plus[0]), float(table.gamma_minus[0])
 
 
 def fgr_rates(n: int, omega: float, p: SystemParams) -> tuple[float, float]:
@@ -93,17 +89,15 @@ def occupation_with_loss(omega: float, p: SystemParams) -> float:
     (n+1)/n = (gamma_minus + kappa_a)/gamma_plus, so
     n = gamma_plus / (gamma_minus + kappa_a - gamma_plus); strictly below
     the lossless occupation for kappa_a > 0, and undefined when loss plus
-    absorption cannot beat emission.
+    absorption cannot beat emission. For kappa_a > 0, n_bar_lossy of
+    compute_rates(p, [Omega]).
     """
     if p.kappa_a == 0.0:
         return occupation(omega, p)
-    gp, gm = gamma_rates(omega, p)
-    den = gm + p.kappa_a - gp
-    if den <= 0:
-        raise NonEquilibriumError(
-            "gamma_minus + kappa_a <= gamma_plus: no steady occupation"
-        )
-    return gp / den
+    n = compute_rates(p, [omega]).n_bar_lossy[0]
+    if np.isnan(n):
+        raise NonEquilibriumError("gamma_minus + kappa_a <= gamma_plus: no steady occupation")
+    return float(n)
 
 
 @dataclass
@@ -133,7 +127,7 @@ def compute_rates(p: SystemParams, grid=None) -> RateTable:
     """
     grid = _checked_grid(p, grid)
     absorption, emission, be, n = _noise_sides(grid, p)
-    pref = _rate_prefactor(p)
+    pref = p.g_a**2 / q_zpf_squared(p.omega_m)
     gp, gm = pref * absorption, pref * emission
     nb = np.where(be > 0, n, np.nan)
     if p.kappa_a == 0.0:

@@ -126,13 +126,18 @@ def detailed_balance_coth(omega, p: SystemParams):
     coth(omega*beta_eff/2) = (J*coth(beta*omega/2) + w*(L+ + L-)) / (J + w*(L+ - L-)).
     Kept as an independent cross-check of beta_eff; the exponential form is
     the production path because inverting coth is ill-conditioned near 0.
+    At w = 0 (g_c = 0) J cancels, which past ~745 cutoffs underflows to 0,
+    and the bath's own coth(beta*omega/2) is returned.
     """
     check_frequency("detailed_balance_coth: omega", omega)
     _require_bath(p)
     w = _coupling_weight(p)
-    j = _ohmic_j(omega, p)
     om = np.asarray(omega, dtype=float)
-    num = j / np.tanh(p.beta * om / 2.0) + w * (lorentzian(om, p) + lorentzian(-om, p))
+    tanh = np.tanh(p.beta * om / 2.0)
+    if w == 0.0:
+        return 1.0 / tanh
+    j = _ohmic_j(omega, p)
+    num = j / tanh + w * (lorentzian(om, p) + lorentzian(-om, p))
     den = j + w * lorentzian_asymmetry(omega, p)
     return num / den
 

@@ -106,7 +106,7 @@ def check_detailed_balance(p: SystemParams | None = None) -> dict:
                      f"{balance:.2f} eps (2 n_bar + 1), bound 8")
 
 
-def check_stability_oracle(p: SystemParams | None = None, *, seed: int = 20240801) -> dict:
+def check_stability_oracle(p: SystemParams | None = None, *, seed: int) -> dict:
     """Analytic 6x6 criteria vs eigenvalues over 10000 random draws, plus the
     g_a = 0 boundary in g_c against g_c_max."""
     t0 = time.monotonic()
@@ -172,7 +172,7 @@ def check_representation_equivalence(p: SystemParams | None = None) -> dict:
                      f"worst relative mismatch {worst:.2e}")
 
 
-def check_variance_consistency(p: SystemParams | None = None, *, seed: int = 7) -> dict:
+def check_variance_consistency(p: SystemParams | None = None, *, seed: int) -> dict:
     """Lyapunov <Q^2> vs the spectral integral, then 1000 Monte Carlo trajectories vs Lyapunov."""
     t0 = time.monotonic()
     q, skip = _white_noise_point("variance-consistency", p,
@@ -243,7 +243,7 @@ CHECKS = (
 )
 
 
-def run_checks(p: SystemParams | None = None, *, seed: int = 20240801) -> dict:
+def run_checks(p: SystemParams | None = None, *, seed: int) -> dict:
     """Run every registered check and assemble the machine-readable report."""
     results = []
     for check in CHECKS:

@@ -217,6 +217,20 @@ class TestValidateCommand:
         assert code in (0, 1)
 
 
+    @pytest.mark.parametrize("check, zero, reason", [
+        ("check_detailed_balance", "g_a", "g_a = 0: rates vanish"),
+        ("check_representation_equivalence", "g_c", "g_c = 0: correlations vanish"),
+        ("check_variance_consistency", "g_c", "g_c = 0: no steady covariance"),
+    ])
+    def test_check_skips_where_its_coupling_is_zero(self, check, zero, reason):
+        import optobath.validate as validate
+
+        kwargs = {"seed": 7} if check == "check_variance_consistency" else {}
+        result = getattr(validate, check)(replace(fig1_cooled(), **{zero: 0.0}), **kwargs)
+        assert result["status"] == "skip"
+        assert result["detail"].startswith(reason)
+
+
 class TestExitCodes:
     def test_bad_kappa_c_is_config_error(self, capsys):
         assert run_cli("spectrum", "--preset", "fig1-cooled", "--kappa-c", "0") == 2
@@ -258,6 +272,22 @@ class TestExitCodes:
     def test_nonpositive_lin_grid_is_config_error(self):
         assert run_cli("rates", "--preset", "fig1-cooled", "--grid-scale", "lin",
                        "--grid-min", "0", "--grid-max", "1") == 2
+
+    def test_nonpositive_log_grid_is_config_error(self, capsys):
+        assert run_cli("spectrum", "--preset", "fig1-cooled", "--grid-min", "0") == 2
+        assert "log grid requires min > 0" in capsys.readouterr().err
+
+    def test_output_into_missing_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "spec.csv"
+        assert run_cli("spectrum", "--preset", "fig1-cooled", "--grid-count", "5",
+                       "-o", str(out)) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        assert run_cli("spectrum", "--config", str(path)) == 2
+        assert "config document must be a JSON object" in capsys.readouterr().err
 
     def test_pole_is_config_error(self, capsys):
         # gamma_m = 0 and delta_c = 0 put a pole of the dressed response at
@@ -338,6 +368,14 @@ class TestExitCodes:
         path.write_text(json.dumps({"hardware": {**hardware, key: value}}))
         assert run_cli("rates", "--config", str(path), "--grid-count", "5") == 2
         assert f"hardware {key} must be a finite real number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["5", "true", "[1]", "null"])
+    def test_hardware_block_must_be_an_object(self, tmp_path, block, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"hardware": %s}' % block)
+        assert run_cli("rates", "--preset", "fig1-cooled", "--config", str(path),
+                       "--grid-count", "5") == 2
+        assert "hardware block must be a JSON object" in capsys.readouterr().err
 
     def test_subprocess_entry_point(self, tmp_path):
         result = subprocess.run(

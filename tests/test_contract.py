@@ -8,15 +8,23 @@ bool the same way, and a finite input whose result overflows. Counts (photon
 number, grid size, frequency nodes, trajectories) must be integers, not bools,
 at or above their floor. Both tables take a non-empty, strictly ascending 1-d
 grid.
+
+At stable working points drawn over several decades of every parameter,
+each of these functions returns a finite value, a documented flag or a named
+refusal, and never warns.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import optobath as ob
+from optobath.spectrum import FLAG_NONTHERMAL, FLAG_POLE
+from optobath.stability import require_stable
 
 OF_OMEGA = {
     "ohmic_j": ob.ohmic_j,
@@ -113,6 +121,16 @@ HELPER_CASES = {
     "langevin_trajectory-n_traj-2.5":
         (lambda p: ob.langevin_trajectory(replace(p, gamma_m=0.0), seed=1, n_traj=2.5),
          "n_traj must be an integer >= 2"),
+    "optimal_detuning-0": (lambda p: ob.optimal_detuning(0.0), "kappa_c must be > 0"),
+    "beta_opt-delta_c-0":
+        (lambda p: ob.beta_opt(0.3, replace(p, delta_c=0.0)), "requires delta_c != 0"),
+    "beta_opt_expansion-delta_c-0":
+        (lambda p: ob.beta_opt_expansion(replace(p, delta_c=0.0)), "requires delta_c != 0"),
+    "beta_eff_low_expansion-g_c-0":
+        (lambda p: ob.beta_eff_low_expansion(replace(p, g_c=0.0)), "requires g_c > 0"),
+    "stability_map-empty-sweep":
+        (lambda p: ob.stability_map(p, "g_c", [], "g_a", [0.1]), "must be non-empty"),
+    "hardware-mass-0": (lambda p: _hardware_coupling(mass=0.0), "must be positive"),
 }
 
 
@@ -132,3 +150,87 @@ GRIDS_NOT_ASCENDING_1D = {"0d": 0.3, "2d": [[0.1, 0.2], [0.3, 0.4]], "empty": []
 def test_tables_reject_grid_not_ascending_1d(fig1, table, grid):
     with pytest.raises(ValueError, match="strictly ascending"):
         getattr(ob, table)(fig1, GRIDS_NOT_ASCENDING_1D[grid])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def _or_zero(lo, hi):
+    """Log-uniform in [lo, hi], or 0.0 in about one draw in four."""
+    return st.tuples(st.sampled_from([0.0, 1.0, 1.0, 1.0]), _log_uniform(lo, hi)).map(
+        lambda pair: pair[0] * pair[1])
+
+
+MODERATE_POINTS = st.builds(
+    ob.SystemParams,
+    omega_m=st.just(1.0),
+    gamma_m=_or_zero(1e-8, 1e-1),
+    kappa_c=_log_uniform(1e-2, 1e2),
+    kappa_a=_or_zero(1e-4, 1e1),
+    delta_a=_log_uniform(1e-2, 1e2).map(lambda x: -x),
+    # red detuning in 17 draws of 20
+    delta_c=st.tuples(st.sampled_from([-1.0] * 17 + [1.0] * 3),
+                      _log_uniform(1e-2, 1e2)).map(lambda pair: pair[0] * pair[1]),
+    g_a=_log_uniform(1e-4, 1.0),
+    g_c=_or_zero(1e-3, 1.0),
+    beta=_log_uniform(1e-5, 1e2),
+    cutoff=_log_uniform(1.0, 1e4),
+)
+
+REFUSALS = (ValueError, ob.PoleError, ob.DivergenceError)
+
+SCALAR_CALLS = {
+    "j_eff": ob.j_eff,
+    "beta_eff": ob.beta_eff,
+    "detailed_balance_coth": ob.detailed_balance_coth,
+    "s_qq+": ob.s_qq,
+    "s_qq-": lambda w, p: ob.s_qq(-w, p),
+    "gamma_rates": ob.gamma_rates,
+    "occupation": ob.occupation,
+    "occupation_with_loss": ob.occupation_with_loss,
+    "beta_opt": ob.beta_opt,
+    "beta_eff_low": lambda w, p: ob.beta_eff_low(p),
+    "eta_eff": lambda w, p: ob.eta_eff(p),
+    "eta_opt": lambda w, p: ob.eta_opt(p),
+    "g_c_max": lambda w, p: ob.g_c_max(p),
+    "beta_opt_expansion": lambda w, p: ob.beta_opt_expansion(p),
+    "beta_eff_low_expansion": lambda w, p: ob.beta_eff_low_expansion(p),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=MODERATE_POINTS, omega=_log_uniform(1e-8, 1e12))
+# g_c = 0 past ~745 cutoffs, where the Ohmic J underflows to 0
+@example(p=ob.SystemParams(gamma_m=1e-6, g_a=0.45, beta=1e-4, cutoff=417.0), omega=1.9e10)
+def test_stable_point_gives_finite_value_flag_or_named_refusal(p, omega):
+    try:
+        require_stable(p)
+    except ob.UnstableError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in SCALAR_CALLS.items():
+            try:
+                value = call(omega, p)
+            except REFUSALS:
+                continue
+            assert np.isfinite(value).all(), f"{name}({omega!r}) = {value!r} at {p}"
+        try:
+            spec = ob.compute_spectrum(p, [omega])
+        except REFUSALS:
+            spec = None
+        if spec is not None:
+            values = np.array([spec.j_eff[0], spec.beta_eff[0]])
+            if spec.flags == [FLAG_POLE]:
+                assert np.isnan(values).all()
+            else:
+                assert np.isfinite(values).all(), f"compute_spectrum({omega!r}) at {p}"
+                assert (spec.flags == [FLAG_NONTHERMAL]) == (spec.beta_eff[0] <= 0)
+        try:
+            table = ob.compute_rates(p, [omega])
+        except REFUSALS:
+            return
+    assert np.isfinite([table.gamma_plus[0], table.gamma_minus[0]]).all()
+    # a NaN occupation is the documented flag of no equilibrium
+    assert not np.isinf([table.n_bar[0], table.n_bar_lossy[0]]).any()

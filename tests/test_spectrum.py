@@ -136,6 +136,14 @@ class TestBetaEff:
         rhs = detailed_balance_coth(w, fig1)
         assert np.all(np.abs(lhs - rhs) <= 1e-10 * np.abs(rhs))
 
+    @pytest.mark.parametrize("omega", [7.46e5, 1e6, 1e7])
+    def test_coth_form_of_bare_bath_past_ohmic_underflow(self, fig1_bare, omega):
+        # at g_c = 0 J cancels; past ~745 cutoffs it underflows and J/J was 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = detailed_balance_coth(omega, fig1_bare)
+        assert value == 1.0 / np.tanh(fig1_bare.beta * omega / 2.0)
+
 
 class TestBetaOpt:
     def test_low_frequency_constant(self, fig1):

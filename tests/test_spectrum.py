@@ -138,7 +138,7 @@ class TestBetaEff:
 
     @pytest.mark.parametrize("omega", [7.46e5, 1e6, 1e7])
     def test_coth_form_of_bare_bath_past_ohmic_underflow(self, fig1_bare, omega):
-        # at g_c = 0 J cancels; past ~745 cutoffs it underflows and J/J was 0/0
+        # at g_c = 0 J cancels; past ~745 cutoffs it underflows to 0, and J/J would be 0/0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = detailed_balance_coth(omega, fig1_bare)

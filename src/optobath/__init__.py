@@ -11,6 +11,8 @@ each backed by an independent brute-force oracle.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .params import (
     DriveSpec,
     SystemParams,
@@ -73,22 +75,22 @@ from .stability import (
     stability_map,
     stability_report,
 )
-from .correlation import (
-    CorrelationSeries,
-    SampleMoments,
-    c_qq_optical,
-    c_qq_representation,
-    c_qq_thermal,
-    c_qq_total,
-    correlation_series,
-    diffusion_matrix,
-    langevin_trajectory,
-    lyapunov_covariance,
-)
 from .msi import (
     HBAR_SI,
     MsiGeometry,
     enhanced_coupling_from_hardware,
     msi_coupling,
 )
-from ._quad import QuadratureError
+
+# The oracle layer loads scipy on first use of one of its names. Not cached
+# here, so a tracer's patch of the defining module is seen and undone.
+_ORACLES = dict.fromkeys(
+    ["CorrelationSeries", "SampleMoments", "c_qq_optical", "c_qq_representation",
+     "c_qq_thermal", "c_qq_total", "correlation_series", "diffusion_matrix",
+     "langevin_trajectory", "lyapunov_covariance"], "correlation") | {"QuadratureError": "_quad"}
+
+
+def __getattr__(name):  # PEP 562
+    if name not in _ORACLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_ORACLES[name]}", __name__), name)

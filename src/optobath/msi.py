@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .params import check_fields, finite_real
+from .params import _finite_result, check_fields, finite_real
 
 HBAR_SI = 1.054571817e-34  # J*s
 
@@ -36,6 +36,7 @@ class MsiGeometry:
         # modes; r_m = 1 would close the Sagnac path entirely
         if self.r_m >= 1:
             raise ValueError("membrane reflectivity must satisfy 0 <= r_m < 1")
+        _finite_result("effective length", self.effective_length)
 
     @property
     def effective_length(self) -> float:
@@ -48,7 +49,7 @@ def msi_coupling(geo: MsiGeometry) -> float:
     Angular frequency per meter of membrane displacement; linear in r_m and
     omega_0, inverse-linear in the effective length.
     """
-    return geo.r_m * geo.omega_0 / geo.effective_length
+    return _finite_result("msi coupling", geo.r_m * geo.omega_0 / geo.effective_length)
 
 
 def enhanced_coupling_from_hardware(geo: MsiGeometry, b_s: float, mass: float,
@@ -60,8 +61,10 @@ def enhanced_coupling_from_hardware(geo: MsiGeometry, b_s: float, mass: float,
     """
     if finite_real("mass", mass) <= 0 or finite_real("omega_m", omega_m) <= 0:
         raise ValueError("mass and omega_m must be positive")
-    q_zpf = math.sqrt(HBAR_SI / (2.0 * mass * omega_m))
-    return msi_coupling(geo) * abs(finite_real("b_s", b_s)) * q_zpf / omega_m
+    product = 2.0 * mass * omega_m  # if it underflows to 0, q_zpf is inf and named below
+    q_zpf = math.sqrt(HBAR_SI / product) if product > 0 else math.inf
+    g_a = msi_coupling(geo) * abs(finite_real("b_s", b_s)) * q_zpf / omega_m
+    return _finite_result("hardware coupling", g_a)
 
 
 def g_a_from_hardware_block(block: dict) -> float:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _table
-from ._quad import spectral_integral
 from .params import SystemParams, check_frequency, count_at_least, finite_real, thermal_occupation
 from .response import PoleError, _at_pole, chi_q_inv, lorentzian, lorentzian_asymmetry
 
@@ -259,6 +258,7 @@ def damping_kernel(t: float, p: SystemParams) -> float:
     _require_bath(p)
     if finite_real("t", t) < 0:
         return 0.0
+    from ._quad import spectral_integral  # scipy loads only when the kernel is asked for
     f = lambda w: (2.0 / math.pi) * _j_eff(w, p) / w
     return spectral_integral(f, p, t=t, kind="cos")
 

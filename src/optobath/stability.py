@@ -266,8 +266,8 @@ def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> St
         raise ValueError(f"var1 and var2 must be different parameters, both are {var1!r}")
     values1 = np.asarray(values1, dtype=float)
     values2 = np.asarray(values2, dtype=float)
-    if len(values1) == 0 or len(values2) == 0:
-        raise ValueError("sweep grids must be non-empty")
+    if any(v.ndim != 1 or v.size == 0 for v in (values1, values2)):
+        raise ValueError("sweep grids must be non-empty 1-d arrays")
 
     for var, values in {var1: values1, var2: values2}.items():
         for v in values:

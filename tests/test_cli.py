@@ -387,13 +387,42 @@ class TestExitCodes:
         assert result.stdout.startswith("omega,")
 
 
+ORACLE_NAMES = {
+    "correlation": ["CorrelationSeries", "SampleMoments", "c_qq_optical", "c_qq_representation",
+                    "c_qq_thermal", "c_qq_total", "correlation_series", "diffusion_matrix",
+                    "langevin_trajectory", "lyapunov_covariance"],
+    "_quad": ["QuadratureError"],
+}
+
+
 def test_presets_live_in_params_and_cli_loads_validate_only_to_validate():
+    import optobath
+    import optobath._quad
+    import optobath.correlation
     import optobath.params
     import optobath.validate
+    from optobath import c_qq_total
 
     assert optobath.validate.fig1_cooled is optobath.params.fig1_cooled
-    code = "import sys, optobath.cli; assert 'optobath.validate' not in sys.modules"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert c_qq_total is optobath.correlation.c_qq_total
+    for module, names in ORACLE_NAMES.items():
+        for name in names:
+            assert getattr(optobath, name) is getattr(getattr(optobath, module), name)
+    with pytest.raises(AttributeError):
+        optobath.no_such_name
+    # the figure commands run on numpy alone: neither scipy nor validate loads
+    code = """
+import sys, optobath.cli
+for command, small in [("spectrum", ["--grid-count", "5"]), ("rates", ["--grid-count", "5"]),
+                       ("stability", ["--count1", "3", "--count2", "3"])]:
+    assert optobath.cli.main([command, "--preset", "fig1-cooled", *small]) == 0
+scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not scipy, scipy
+assert "optobath.validate" not in sys.modules
+"""
+    run = subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("command", ["spectrum", "rates", "stability", "validate"])

@@ -131,6 +131,19 @@ HELPER_CASES = {
     "stability_map-empty-sweep":
         (lambda p: ob.stability_map(p, "g_c", [], "g_a", [0.1]), "must be non-empty"),
     "hardware-mass-0": (lambda p: _hardware_coupling(mass=0.0), "must be positive"),
+    "hardware-overflow":
+        (lambda p: _hardware_coupling(b_s=1e300, mass=1e-12, omega_m=1e-6), "not finite"),
+    "hardware-q_zpf-underflow":
+        (lambda p: _hardware_coupling(mass=1e-300, omega_m=1e-30), "not finite"),
+    "msi_coupling-overflow":
+        (lambda p: ob.msi_coupling(ob.MsiGeometry(0.5, 1e308, 1e-10, 1e-10, 1e-10)), "not finite"),
+    "msi_geometry-length-overflow":
+        (lambda p: ob.MsiGeometry(0.5, 1e15, 1e308, 1e308, 1e308), "not finite"),
+    "stability_map-0d-sweep":
+        (lambda p: ob.stability_map(p, "g_c", 0.1, "g_a", [0.1]), "must be non-empty"),
+    "stability_map-2d-sweep":
+        (lambda p: ob.stability_map(p, "g_c", [[0.1, 0.2], [0.3, 0.4]], "g_a", [0.1]),
+         "must be non-empty"),
 }
 
 

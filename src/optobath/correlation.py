@@ -8,11 +8,13 @@ transition, where dt sets only how often a trajectory is sampled. Each
 contribution to the autocorrelation has one array-native integrand, shared by
 the adaptive c_qq_* oracles and the fixed-grid correlation_series, whose
 Gauss-Legendre sums are GEMMs of phase tables built by doubling, along time
-on a uniform time grid and along uniform runs of nodes otherwise; c_qq_total
-is one integral of the summed integrand. The white-noise oracles (Lyapunov,
-trajectories) are valid only at gamma_m = 0, where every noise source
-entering the 4x4 system is delta-correlated; thermal Brownian noise is
-colored and is validated in the frequency domain instead.
+on a uniform time grid and along uniform runs of nodes otherwise, where each
+time costs one complex exponential per run and log2 K per frequency block of
+K panels; c_qq_total is one integral of the summed integrand. The
+white-noise oracles (Lyapunov, trajectories) are valid only at gamma_m = 0,
+where every noise source entering the 4x4 system is delta-correlated;
+thermal Brownian noise is colored and is validated in the frequency domain
+instead.
 """
 
 from __future__ import annotations
@@ -152,9 +154,10 @@ def _gauss_frequency_grid(p: SystemParams, n: int):
     the peak: block edges are uniform in asinh((omega - w_peak) / width),
     linear across the peak and geometric away from it. Each block holds K
     equal panels (K the largest power of two <= n / 240), so Gauss node g of
-    block b is a run of K uniform nodes of one weight. Returns (starts,
-    steps, w, q): run r has nodes starts[r] + steps[r] * k, k < K, and w and
-    q list every node and weight in (k, run) order, 4 K floor(n / 4K) of them.
+    block b is a run of K uniform nodes of one weight. Returns (starts, h, w,
+    q): the B blocks have panel widths h, run r = g B + b has nodes
+    starts[r] + h[b] k, k < K, and w and q list every node and weight in
+    (k, run) order, 4 K B of them with B = floor(n / 4K).
     """
     w_peak, width = resonance_peak(p)
     cut = frequency_cutoff(p)
@@ -165,13 +168,13 @@ def _gauss_frequency_grid(p: SystemParams, n: int):
     x, v = np.polynomial.legendre.leggauss(4)
     h = np.diff(edges) / k  # panel width in each block
     starts = (edges[:-1] + np.outer(0.5 * (x + 1.0), h)).ravel()  # runs in (g, block) order
-    steps = np.tile(h, 4)
-    w = (starts + steps * np.arange(k)[:, None]).ravel()
+    w = (starts + np.tile(h, 4) * np.arange(k)[:, None]).ravel()
     q = np.tile(np.outer(0.5 * v, h).ravel(), k)
-    return starts, steps, w, q
+    return starts, h, w, q
 
 
-_TABLE_SIZE = 1 << 21  # complex entries per phase table (per slice or chunk)
+_TABLE_SIZE = 1 << 21  # complex entries per phase table (per slice of nodes, uniform grid)
+_CHUNK_SIZE = 1 << 18  # complex entries per chunk's table on any other grid: about one L2
 
 
 def _doubled(first: np.ndarray, m: int, w: np.ndarray, step) -> np.ndarray:
@@ -205,16 +208,19 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     uniform to 4 ulps of max|t| is evaluated at t0 + k h, which may differ
     from the given times by those ulps: t_k = t0 + (jB + l) h, B ~ sqrt(n), is
     one complex GEMM of e^{iw jBh} against [a, b] e^{iw(t0 + lh)}, both tables
-    built by doubling in time, summed over slices of the nodes. Any other grid
-    doubles along each run of nodes s + k d instead, e^{iwt} = e^{its}
-    (e^{itd})^k, and takes one real GEMM of [a, b] against it per chunk of times.
+    built by doubling in time, summed over slices of the nodes, each table
+    within 2^21 entries. Any other grid doubles along each run of nodes
+    s + k d instead, e^{iwt} = e^{its} (e^{itd})^k: the 4 runs of a block share
+    d, so each time takes one exponential per run and log2 K per block, and
+    one real GEMM of [a, b] against the table per chunk of times, each table
+    within 2^18 entries (4 MiB, about one core's L2 cache).
     """
     pair = _integrands(p, which)
     times = finite_reals("times", times)
     if times.ndim != 1:
         raise ValueError("times must be a 1-d array")
     n_freq = count_at_least("n_freq", n_freq, 1000)
-    starts, steps, w, q = _gauss_frequency_grid(p, n_freq)
+    starts, h_block, w, q = _gauss_frequency_grid(p, n_freq)
     q_cos, q_sin = (0.0 * q, 0.0 * q) if pair is None else (q * f(w) for f in pair)
     # q_cos cos(wt) - i q_sin sin(wt) = a e^{iwt} + conj(b e^{iwt}), a, b = (q_cos -+ q_sin)/2
     ab = 0.5 * np.array([q_cos - q_sin, q_cos + q_sin])
@@ -235,10 +241,11 @@ def correlation_series(p: SystemParams, times, which: str = "total",
             sums = sums + _doubled(np.ones(right.shape[0]), n_a, w[s], n_fine * h) @ right
     else:
         sums = np.empty((n, 2), complex)
-        chunk = max(1, _TABLE_SIZE // len(w))
+        chunk = max(1, _CHUNK_SIZE // len(w))
         for j in range(0, n, chunk):
             t = times[j:j + chunk]
-            table = _doubled(np.exp(1j * np.outer(starts, t)), len(w) // len(starts), steps[:, None], t)
+            first = np.exp(1j * np.outer(starts, t)).reshape(4, len(h_block), len(t))
+            table = _doubled(first, len(w) // len(starts), h_block[:, None], t)  # (k, g, block, t)
             sums[j:j + chunk] = (ab @ table.reshape(-1, len(t)).view(float)).view(complex).T
             del table  # before the next chunk's is built
     values = (sums[:, 0::2] + sums[:, 1::2].conj()).ravel()[:n]

@@ -61,9 +61,12 @@ def enhanced_coupling_from_hardware(geo: MsiGeometry, b_s: float, mass: float,
     """
     if finite_real("mass", mass) <= 0 or finite_real("omega_m", omega_m) <= 0:
         raise ValueError("mass and omega_m must be positive")
+    coupling, b_s = msi_coupling(geo), abs(finite_real("b_s", b_s))
+    if coupling == 0.0 or b_s == 0.0:
+        return 0.0  # decoupled, even where q_zpf below is inf
     product = 2.0 * mass * omega_m  # if it underflows to 0, q_zpf is inf and named below
     q_zpf = math.sqrt(HBAR_SI / product) if product > 0 else math.inf
-    g_a = msi_coupling(geo) * abs(finite_real("b_s", b_s)) * q_zpf / omega_m
+    g_a = coupling * b_s * q_zpf / omega_m
     return _finite_result("hardware coupling", g_a)
 
 

@@ -256,6 +256,18 @@ class TestCorrelationSeries:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
 
+    def test_irregular_chunks_fit_cache_sized_budget(self, fig1):
+        # the block route builds one 2^18-entry (4 MiB) table per chunk of
+        # times, freed before the next; 2^21-entry chunks peaked near 35 MiB
+        times = np.sort(np.random.default_rng(5).uniform(0.0, 200.0, 300))
+        tracemalloc.start()
+        try:
+            correlation_series(fig1, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_moved_time_takes_direct_route_with_same_values(self, fig1):
         # moving one time by 1e-9 makes the grid non-uniform, so every time
         # takes the frequency-block route; the others must not notice
@@ -295,12 +307,12 @@ class TestGaussFrequencyGrid:
             require_stable(p)
         except UnstableError:
             assume(False)
-        starts, steps, w, q = _gauss_frequency_grid(p, n)
+        starts, h, w, q = _gauss_frequency_grid(p, n)
         cut, k = frequency_cutoff(p), 2 ** int(math.log2(n / 240))
-        assert len(w) == len(q) == 4 * k * (n // (4 * k))
+        assert len(w) == len(q) == 4 * k * (n // (4 * k)) == 4 * k * len(h)
         assert np.all((w > 0) & (w < cut)) and np.all(q > 0)
         assert q.sum() == pytest.approx(cut, rel=1e-12)
-        assert np.array_equal(starts + steps * np.arange(k)[:, None], w.reshape(k, -1))
+        assert np.array_equal(starts + np.tile(h, 4) * np.arange(k)[:, None], w.reshape(k, -1))
 
 
 class TestNoBath:

@@ -67,6 +67,12 @@ class TestEnhancedCoupling:
     def test_zero_drive(self):
         assert enhanced_coupling_from_hardware(geometry(), 0.0, 1e-12, 2 * math.pi * 1e6) == 0
 
+    @pytest.mark.parametrize("r_m, b_s", [(0.0, 1e4), (0.3, 0.0)], ids=["r_m-0", "b_s-0"])
+    def test_decoupled_is_zero_where_q_zpf_overflows(self, r_m, b_s):
+        # 2 * mass * omega_m underflows to 0, so q_zpf alone would be inf
+        geo = MsiGeometry(r_m, 1e15, 0.1, 0.1, 0.1)
+        assert enhanced_coupling_from_hardware(geo, b_s, 1e-300, 1e-30) == 0.0
+
     def test_inverse_sqrt_mass_scaling(self):
         geo = geometry()
         g1 = enhanced_coupling_from_hardware(geo, 1e4, 1e-12, 2 * math.pi * 1e6)

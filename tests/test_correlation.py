@@ -258,7 +258,7 @@ class TestCorrelationSeries:
 
     def test_irregular_chunks_fit_cache_sized_budget(self, fig1):
         # the block route builds one 2^18-entry (4 MiB) table per chunk of
-        # times, freed before the next; 2^21-entry chunks peaked near 35 MiB
+        # times and frees it before the next chunk's is built
         times = np.sort(np.random.default_rng(5).uniform(0.0, 200.0, 300))
         tracemalloc.start()
         try:

@@ -1,10 +1,11 @@
 """Adaptive quadrature helpers for spectral integrals.
 
 Every integral carries a cos(omega*t) or sin(omega*t) weight and one fixed
-tolerance. The integrands are smooth apart from one dressed mechanical
-resonance, which can be arbitrarily narrow (width ~ gamma_m/2 when the
-cooling drive is off). The axis is split at the located peak; segments
-spanning several periods of the weight use the oscillatory rule.
+tolerance. The integrands are smooth apart from the poles of the 4x4 system
+(stability.resonances), any of which can be arbitrarily narrow: gamma_m/2
+at the mechanical pole when the cooling drive is off. The axis is split at
+every pole; segments spanning several periods of the weight use the
+oscillatory rule.
 
 QUADPACK samples an integrand one float at a time, so callers pass formulas
 without per-sample checks and check their parameters once; a sum that is
@@ -17,10 +18,9 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .params import SystemParams
-from .response import chi_q_inv
+from .stability import resonances
 
 # Segments spanning more than this many oscillation periods use the weighted
 # (QAWO) rule; the first never does, so its _WEIGHTS lookup rejects other kinds.
@@ -44,39 +44,20 @@ def frequency_cutoff(p: SystemParams) -> float:
     return max(10.0 * p.cutoff, 50.0 * p.kappa_c, 50.0 * p.omega_m)
 
 
-def resonance_peak(p: SystemParams) -> tuple[float, float]:
-    """Locate the dressed mechanical resonance and estimate its half-width.
-
-    Returns (omega_peak, width). The peak is found by minimizing
-    |chi_q_inv|^2 on (0, 3*omega_m]; the width follows from the imaginary
-    part of the inverse response at the peak.
-    """
-    res = minimize_scalar(
-        lambda w: abs(chi_q_inv(w, p)) ** 2,
-        bounds=(1e-9 * p.omega_m, 3.0 * p.omega_m),
-        method="bounded",
-        options={"xatol": 1e-12 * p.omega_m},
-    )
-    w_peak = float(res.x)
-    width = abs(chi_q_inv(w_peak, p).imag) / (2.0 * w_peak)
-    return w_peak, max(width, 1e-12 * p.omega_m)
-
-
 def breakpoints(p: SystemParams) -> list[float]:
-    """Interior subdivision points bracketing the resonance and the knees.
+    """Interior subdivision points: the knees, and every pole with a ladder around it.
 
-    The resonance tails fall off as 1/(omega - w_peak)^2 over many decades
-    when the peak is narrow, so the edges march geometrically away from the
-    peak; a single wide segment there defeats the adaptive rule.
+    A pole's tails fall off as 1/(omega - omega_j)^2 over many decades when it
+    is narrow, and one wide segment there defeats the adaptive rule, so the
+    ladder is omega_j +- gamma_j 10^k for every offset gamma_j 10^k < 5 omega_m.
     """
-    w_peak, width = resonance_peak(p)
     cut = frequency_cutoff(p)
-    pts = {w_peak, 5.0 * p.omega_m, 20.0 * p.omega_m}
-    offset = width
-    while offset < 5.0 * p.omega_m:
-        pts.add(w_peak - offset)
-        pts.add(w_peak + offset)
-        offset *= 10.0
+    pts = {5.0 * p.omega_m, 20.0 * p.omega_m}
+    for w_j, offset in resonances(p).tolist():
+        pts.add(w_j)
+        while offset < 5.0 * p.omega_m:
+            pts.update((w_j - offset, w_j + offset))
+            offset *= 10.0
     return sorted(x for x in pts if 0.0 < x < cut)
 
 

@@ -26,11 +26,11 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from . import _table
-from ._quad import QuadratureError, frequency_cutoff, resonance_peak, spectral_integral
+from ._quad import QuadratureError, frequency_cutoff, spectral_integral
 from .params import SystemParams, count_at_least, finite_real, finite_reals
 from .response import chi_q_inv, lorentzian, lorentzian_asymmetry
 from .spectrum import _beta_eff, _j_eff, _ohmic_j, _require_bath
-from .stability import require_stable
+from .stability import require_stable, resonances
 
 
 def _integrands(p: SystemParams, which: str):
@@ -51,7 +51,7 @@ def _integrands(p: SystemParams, which: str):
     optical = which != "thermal" and p.g_c > 0
     if not (thermal or optical):
         return None
-    weight = 2.0 * p.g_c**2 * p.omega_m
+    weight = p.sideband_weight
 
     def f_cos(w):
         mod2, value = abs(1.0 / chi_q_inv(w, p)) ** 2, 0.0
@@ -149,21 +149,24 @@ class CorrelationSeries:
 def _gauss_frequency_grid(p: SystemParams, n: int):
     """Composite 4-point Gauss-Legendre rule on one partition of [0, cut] into blocks.
 
-    The resonance tails fall as 1/(omega - w_peak)^2 over many decades when
-    the peak is narrow, so grid spacing must scale with the distance from
-    the peak: block edges are uniform in asinh((omega - w_peak) / width),
-    linear across the peak and geometric away from it. Each block holds K
-    equal panels (K the largest power of two <= n / 240), so Gauss node g of
-    block b is a run of K uniform nodes of one weight. Returns (starts, h, w,
-    q): the B blocks have panel widths h, run r = g B + b has nodes
-    starts[r] + h[b] k, k < K, and w and q list every node and weight in
-    (k, run) order, 4 K B of them with B = floor(n / 4K).
+    Each pole (omega_j, gamma_j) of stability.resonances has tails falling
+    as 1/(omega - omega_j)^2 over many decades when it is narrow, so block
+    edges are uniform in u(omega) = sum_j asinh((omega - omega_j) / gamma_j),
+    linear across each pole and geometric away from it; u is inverted by
+    interpolation on 2001 samples per pole, uniform in its own asinh. Each
+    block holds K equal panels (K the largest power of two <= n / 240), so
+    Gauss node g of block b is a run of K uniform nodes of one weight.
+    Returns (starts, h, w, q): the B blocks have panel widths h, run
+    r = g B + b has nodes starts[r] + h[b] k, k < K, and w and q list every
+    node and weight in (k, run) order, 4 K B of them with B = floor(n / 4K).
     """
-    w_peak, width = resonance_peak(p)
+    w_j, g_j = resonances(p).T
     cut = frequency_cutoff(p)
     k = 2 ** int(math.log2(n / 240))
-    u = np.linspace(-np.arcsinh(w_peak / width), np.arcsinh((cut - w_peak) / width), n // (4 * k) + 1)
-    edges = w_peak + width * np.sinh(u)
+    s = np.linspace(np.arcsinh(-w_j / g_j), np.arcsinh((cut - w_j) / g_j), 2001)
+    omega = np.unique(w_j + g_j * np.sinh(s))
+    u = np.arcsinh((omega[:, None] - w_j) / g_j).sum(axis=1)
+    edges = np.interp(np.linspace(u[0], u[-1], n // (4 * k) + 1), u, omega)
     edges[[0, -1]] = 0.0, cut
     x, v = np.polynomial.legendre.leggauss(4)
     h = np.diff(edges) / k  # panel width in each block
@@ -198,10 +201,11 @@ def correlation_series(p: SystemParams, times, which: str = "total",
 
     Sums composite 4-point Gauss-Legendre panels that partition [0, cut].
     Against adaptive c_qq_total at t in {0, 0.3, 1, 5, 13, 50, 120, 200} the
-    default grid is off by at most 4.4e-10, 4.3e-10 and 2.1e-11 |C(0)| at
-    fig1-cooled, fig1-cold and fig1-bare, near that reference's own tolerance,
-    and by 1.5e-11 against the regression theorem at fig1-cold for t <= 200.
-    The error grows with t once the panels far from the peak are wide against
+    default grid is off by at most 4.4e-10, 4.3e-10 and 1.3e-11 |C(0)| at
+    fig1-cooled, fig1-cold and fig1-bare, near that reference's own tolerance;
+    against the regression theorem by 2.0e-11 at fig1-cold for t <= 200, and
+    by up to 8.6e-10 where a narrow cooling sideband sits away from omega_m.
+    The error grows with t once the panels far from the poles are wide against
     2 pi / t; at n_freq = 1000 it is below 2e-9 |C(0)| for t <= 13.
 
     With the integrand as a e^{iwt} + conj(b e^{iwt}), real a and b, a grid

@@ -106,6 +106,16 @@ class SystemParams:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @property
+    def sideband_weight(self) -> float:
+        """hbar G_c^2 = 2 g_c^2 omega_m, the weight of each cooling-cavity sideband."""
+        return 2.0 * self.g_c**2 * self.omega_m
+
+    @property
+    def cavity_r2(self) -> float:
+        """r2 = delta_c^2 + kappa_c^2/4, the cooling cavity's squared complex detuning."""
+        return self.delta_c**2 + self.kappa_c**2 / 4.0
+
 
 def fig1_cooled() -> SystemParams:
     """Bath-engine parameters of the laser-cooled working point."""

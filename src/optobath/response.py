@@ -43,7 +43,7 @@ def self_energy(omega, p: SystemParams):
                                       + 1/((delta_c-omega) - i*kappa_c/2)],
     where 2 g_c^2 omega_m carries hbar*G_c^2 in natural units.
     """
-    pref = 2.0 * p.g_c**2 * p.omega_m
+    pref = p.sideband_weight
     half = 0.5j * p.kappa_c
     return pref * (1.0 / ((p.delta_c + omega) + half) + 1.0 / ((p.delta_c - omega) - half))
 

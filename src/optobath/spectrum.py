@@ -35,15 +35,6 @@ class DivergenceError(ArithmeticError):
     """A closed-form expression diverges at the supplied parameters."""
 
 
-def _coupling_weight(p: SystemParams) -> float:
-    """pi * hbar * G_c^2 = 2 pi g_c^2 omega_m in natural units."""
-    return 2.0 * math.pi * p.g_c**2 * p.omega_m
-
-
-def _r2(p: SystemParams) -> float:
-    return p.delta_c**2 + p.kappa_c**2 / 4.0
-
-
 def _require_bath(p: SystemParams) -> None:
     """ValueError unless gamma_m > 0 or g_c^2 > 0 (a g_c^2 that underflows couples nothing)."""
     if p.gamma_m == 0.0 and p.g_c**2 == 0.0:
@@ -76,7 +67,8 @@ def j_eff(omega, p: SystemParams):
 
 def _j_eff(omega, p: SystemParams):
     mod2 = 1.0 / np.abs(chi_q_inv(omega, p)) ** 2
-    return mod2 * (_ohmic_j(omega, p) + _coupling_weight(p) * lorentzian_asymmetry(omega, p))
+    w = math.pi * p.sideband_weight
+    return mod2 * (_ohmic_j(omega, p) + w * lorentzian_asymmetry(omega, p))
 
 
 def beta_eff(omega, p: SystemParams):
@@ -97,7 +89,7 @@ def beta_eff(omega, p: SystemParams):
 
 
 def _beta_eff(omega, p: SystemParams):
-    w = _coupling_weight(p)
+    w = math.pi * p.sideband_weight
     j = _ohmic_j(omega, p)
     nbar = thermal_occupation(omega, p.beta)
     imbalance = j + w * lorentzian_asymmetry(omega, p)
@@ -130,7 +122,7 @@ def detailed_balance_coth(omega, p: SystemParams):
     """
     check_frequency("detailed_balance_coth: omega", omega)
     _require_bath(p)
-    w = _coupling_weight(p)
+    w = math.pi * p.sideband_weight
     om = np.asarray(omega, dtype=float)
     tanh = np.tanh(p.beta * om / 2.0)
     if w == 0.0:
@@ -165,7 +157,7 @@ def beta_opt_expansion(p: SystemParams) -> tuple[float, float]:
     """
     if p.delta_c == 0.0:
         raise ValueError("beta_opt_expansion requires delta_c != 0")
-    r2 = _r2(p)
+    r2 = p.cavity_r2
     const = -4.0 * p.delta_c / r2
     quad_coeff = -p.delta_c * (4.0 * p.delta_c**2 - 3.0 * p.kappa_c**2) / (3.0 * r2**3)
     return const, quad_coeff
@@ -177,8 +169,8 @@ def _eta_den_core(p: SystemParams) -> float:
     The zero sits exactly at g_c = g_c_max; a relative tolerance absorbs the
     rounding of a threshold value that went through a square root.
     """
-    core = p.omega_m * _r2(p) + 4.0 * p.g_c**2 * p.delta_c
-    if abs(core) < 1e-12 * p.omega_m * _r2(p):
+    core = p.omega_m * p.cavity_r2 + 4.0 * p.g_c**2 * p.delta_c
+    if abs(core) < 1e-12 * p.omega_m * p.cavity_r2:
         raise DivergenceError("low-frequency slope diverges: g_c at threshold")
     return core
 
@@ -202,7 +194,7 @@ def eta_eff(p: SystemParams) -> float:
     power in the denominator is fixed by requiring j_eff(omega)/omega ->
     eta_eff and the gamma_m -> 0 reduction to hold simultaneously.
     """
-    r2 = _r2(p)
+    r2 = p.cavity_r2
     num = p.gamma_m * r2**2 - 4.0 * p.g_c**2 * p.delta_c * p.kappa_c * p.omega_m
     return num / (p.omega_m**2 * _eta_den_core(p) ** 2)
 
@@ -215,7 +207,7 @@ def g_c_max(p: SystemParams) -> float:
     """
     if p.delta_c >= 0:
         raise ValueError("g_c_max is defined for red detuning (delta_c < 0)")
-    return math.sqrt(p.omega_m * _r2(p) / (4.0 * abs(p.delta_c)))
+    return math.sqrt(p.omega_m * p.cavity_r2 / (4.0 * abs(p.delta_c)))
 
 
 def beta_eff_low(p: SystemParams) -> float:
@@ -225,7 +217,7 @@ def beta_eff_low(p: SystemParams) -> float:
                   / (r2 * (gamma_m*r2 + g_c^2 beta kappa_c omega_m)).
     """
     _require_bath(p)
-    r2 = _r2(p)
+    r2 = p.cavity_r2
     den = r2 * (p.gamma_m * r2 + p.g_c**2 * p.beta * p.kappa_c * p.omega_m)
     num = p.beta * (p.gamma_m * r2**2 - 4.0 * p.g_c**2 * p.delta_c * p.kappa_c * p.omega_m)
     return num / den
@@ -242,7 +234,7 @@ def beta_eff_low_expansion(p: SystemParams) -> tuple[float, float]:
     """
     if not (p.g_c > 0 and p.beta > 0):
         raise ValueError("expansion requires g_c > 0 and beta > 0")
-    r2 = _r2(p)
+    r2 = p.cavity_r2
     zeroth = -4.0 * p.delta_c / r2
     first = (4.0 * p.delta_c + p.beta * r2) / (p.g_c**2 * p.beta * p.kappa_c * p.omega_m)
     return zeroth, first

@@ -77,7 +77,7 @@ def routh_hurwitz_qc(p: SystemParams) -> tuple[float, bool]:
     """
     if p.delta_c >= 0:
         raise ValueError("criterion applies to red detuning (delta_c < 0)")
-    value = 4.0 * p.g_c**2 * p.delta_c + (p.delta_c**2 + p.kappa_c**2 / 4.0) * p.omega_m
+    value = 4.0 * p.g_c**2 * p.delta_c + p.cavity_r2 * p.omega_m
     return value, value > 0
 
 
@@ -150,6 +150,18 @@ def require_stable(p: SystemParams) -> np.ndarray:
     if verdict != STABLE:
         raise UnstableError(verdict, abscissa)
     return a
+
+
+def resonances(p: SystemParams) -> np.ndarray:
+    """Rows (omega_j, gamma_j), omega_j >= 0, of the 4x4 poles -gamma_j + i omega_j.
+
+    The Q-spectrum, and every oracle integrand, peaks at these eigenvalues of
+    drift_matrix_qc(p): one row per conjugate pair, one at omega = 0 per real
+    (overdamped) eigenvalue, gamma_j floored at 1e-12 omega_m.
+    """
+    eigs = _abscissae(drift_matrix_qc(p))[1]
+    eigs = eigs[eigs.imag >= 0]
+    return np.column_stack([eigs.imag, np.maximum(-eigs.real, 1e-12 * p.omega_m)])
 
 
 @dataclass

@@ -25,10 +25,20 @@ from optobath import (
     s_qq,
 )
 from optobath import correlation
-from optobath._quad import QuadratureError, frequency_cutoff
+from optobath._quad import QuadratureError, breakpoints, frequency_cutoff
 from optobath.correlation import _gauss_frequency_grid, _integrands, _representation_integrands
 from optobath.spectrum import g_c_max
-from optobath.stability import UnstableError, require_stable
+from optobath.stability import UnstableError, require_stable, resonances
+from optobath.validate import fig1_bare, fig1_cooled
+
+# (delta_c, kappa_c, g_c) at gamma_m = 0, beta = 1e-4: a cooling sideband narrower
+# than the hybrid poles and away from omega_m, between the 5 and 20 omega_m knees at -10
+NARROW_SIDEBANDS = [(-3.0, 1e-2, 0.05), (-3.0, 1e-3, 0.02), (-10.0, 1e-3, 0.05),
+                    (-0.2, 1e-3, 0.01)]
+
+
+def narrow_sideband(delta_c, kappa_c, g_c):
+    return SystemParams(delta_c=delta_c, kappa_c=kappa_c, g_c=g_c, beta=1e-4)
 
 
 def regression_theorem(p, times, dt):
@@ -116,6 +126,14 @@ class TestTotalAndRepresentation:
         assert np.isfinite(a) and abs(a - b) < 1e-3 * c0
         assert math.isfinite(damping_kernel(200.0, p))
 
+    def test_total_resolves_sideband_between_knees(self):
+        # the sideband pole at omega = 10 brings its own breakpoint ladder; the
+        # adaptive rule's relative tolerance is 1e-8
+        p = narrow_sideband(-10.0, 1e-3, 0.05)
+        reference = regression_theorem(p, np.arange(0.0, 13.05, 0.1), 0.1)[[0, 3, 10, 50, 130]]
+        adaptive = np.array([c_qq_total(t, p) for t in (0.0, 0.3, 1.0, 5.0, 13.0)])
+        assert np.abs(adaptive - reference).max() < 1e-8 * abs(reference[0])
+
     def test_decay_at_long_times(self, fig1_cold):
         c0 = abs(c_qq_total(0.0, fig1_cold))
         assert abs(c_qq_total(100.0, fig1_cold)) < 1e-3 * c0
@@ -195,6 +213,26 @@ class TestCorrelationSeries:
         short = times <= 13.0
         coarse = correlation_series(p, times[short], n_freq=1000).values
         assert np.abs(coarse - reference[short]).max() < 1e-8 * c0
+
+    @settings(max_examples=60, deadline=None)
+    @given(detuning=st.floats(0.1, 10.0), log_kappa=st.floats(-3.0, math.log10(2.0)),
+           frac=st.floats(0.05, 0.95))
+    @example(detuning=0.1, log_kappa=-3.0, frac=0.05)
+    def test_matches_regression_theorem_at_any_cooling_point(self, detuning, log_kappa, frac):
+        # every pole of the drift matrix grades the grid, so a narrow cooling
+        # sideband far from omega_m keeps its mass. The worst of 1500 draws is
+        # 7.9e-10 |C(0)|; the @example, with a mechanical pole 1.3e-8 wide,
+        # reads 6.0e-10
+        p = SystemParams(delta_c=-detuning, kappa_c=10.0**log_kappa, beta=1e-4)
+        p = replace(p, g_c=frac * g_c_max(p))
+        try:
+            require_stable(p)
+        except UnstableError:
+            assume(False)
+        times = np.arange(101) * 0.5
+        reference = regression_theorem(p, times, 0.5)
+        error = np.abs(correlation_series(p, times).values - reference).max()
+        assert error < 5e-9 * abs(reference[0])
 
     @pytest.mark.parametrize("preset, times", [
         ("fig1", np.linspace(3.3, 17.1, 777)),
@@ -294,7 +332,7 @@ class TestGaussFrequencyGrid:
         frac=st.floats(0.0, 0.95),
         n=st.sampled_from([1000, 12345, 30000]),
     )
-    # an overdamped peak near 0 (width 0.35 > w_peak 1.9e-9) and a 5e-7-wide one
+    # hybrid poles at 0.23 and 1.33 near threshold, and a 5e-7-wide mechanical pole
     @example(omega_m=1.0, gamma_m=1e-6, kappa_c=2 / math.sqrt(3), detuning=0.866,
              frac=0.9, n=30000)
     @example(omega_m=1.0, gamma_m=1e-6, kappa_c=2 / math.sqrt(3), detuning=0.866,
@@ -313,6 +351,26 @@ class TestGaussFrequencyGrid:
         assert np.all((w > 0) & (w < cut)) and np.all(q > 0)
         assert q.sum() == pytest.approx(cut, rel=1e-12)
         assert np.array_equal(starts + np.tile(h, 4) * np.arange(k)[:, None], w.reshape(k, -1))
+
+
+class TestBreakpoints:
+    @pytest.mark.parametrize("p", [
+        fig1_cooled(), replace(fig1_cooled(), gamma_m=0.0), fig1_bare(),
+        *(narrow_sideband(*point) for point in NARROW_SIDEBANDS),
+        SystemParams(gamma_m=1e-6, kappa_c=2 / math.sqrt(3), delta_c=-0.866 * 2 / math.sqrt(3),
+                     beta=1e-4),
+        SystemParams(gamma_m=3.0, beta=1e-4),
+    ], ids=["fig1", "fig1_cold", "fig1_bare", "sideband_3_1e-2", "sideband_3_1e-3",
+            "sideband_10", "sideband_0.2", "mechanical_5e-7", "overdamped"])
+    def test_every_pole_is_bracketed(self, p):
+        # each pole and the first rung of its ladder are edges of the adaptive
+        # segments; an overdamped pole sits at 0, which is no interior point
+        pts, cut = breakpoints(p), frequency_cutoff(p)
+        for w_j, g_j in resonances(p):
+            if 0.0 < w_j < cut:
+                assert w_j in pts
+            if g_j < 5.0 * p.omega_m:
+                assert w_j + g_j in pts
 
 
 class TestNoBath:

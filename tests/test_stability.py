@@ -22,7 +22,7 @@ from optobath import (
     stability_map,
     stability_report,
 )
-from optobath.stability import _classify, at_optimal_detuning, require_stable
+from optobath.stability import _classify, at_optimal_detuning, require_stable, resonances
 from optobath.validate import fig1_cooled
 
 SQRT3 = math.sqrt(3.0)
@@ -421,3 +421,21 @@ def test_oracle_classification_matches_per_cell_route(fig1_cold, seed):
         *_, ok = full_criteria(cell)
         assert (cells["abscissa"][i], cells["eigen"][i]) == (abscissa, verdict)
         assert cells["disagree"][i] == (verdict != MARGINAL and ok != (verdict == STABLE))
+
+
+class TestResonances:
+    def test_uncoupled_modes(self):
+        # at g_c = 0 the mechanics, -gamma_m/2 +- i sqrt(omega_m^2 - gamma_m^2/4),
+        # and the cavity, -kappa_c/2 +- i delta_c, decouple; an overdamped
+        # mechanics gives two rows at omega = 0
+        p = SystemParams(gamma_m=0.5, kappa_c=0.2, delta_c=-2.0)
+        np.testing.assert_allclose(sorted(resonances(p).tolist()),
+                                   [[math.sqrt(1.0 - 0.0625), 0.25], [2.0, 0.1]], rtol=1e-12)
+        over = sorted(resonances(replace(p, gamma_m=3.0)).tolist())
+        np.testing.assert_allclose(over, [[0.0, 1.5 - math.sqrt(1.25)],
+                                          [0.0, 1.5 + math.sqrt(1.25)], [2.0, 0.1]], rtol=1e-12)
+
+    def test_width_floor(self):
+        # an undamped, uncoupled mechanics would give a zero width
+        p = SystemParams(gamma_m=0.0, g_c=0.0)
+        assert resonances(p)[:, 1].min() == 1e-12 * p.omega_m

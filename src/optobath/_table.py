@@ -3,9 +3,9 @@
 A table is an ordered mapping of column name to column. CSV cells are
 formatted by type: a float as %.12e (``nan`` and ``inf`` as Python prints
 them), a bool as true/false, a str as it is, None as an empty cell. A float
-column picks its format once; other columns, which may mix None with
-values, per cell. JSON carries the same values at full precision (Python's
-float repr), with NaN as the ``NaN`` token and None as null.
+column picks its format once, other columns (which may mix None with values)
+per cell, and a list holds cells already formatted. JSON carries the same
+values at full precision (Python's float repr), NaN as ``NaN``, None as null.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ def _cell(x) -> str:
 
 
 def _cells(column) -> list[str]:
+    if isinstance(column, list):  # cells already formatted, e.g. a repeated sweep axis
+        return column
     a = np.asarray(column)
     return list(map("{:.12e}".format if a.dtype.kind == "f" else _cell, a.tolist()))
 

@@ -116,6 +116,11 @@ class SystemParams:
         """r2 = delta_c^2 + kappa_c^2/4, the cooling cavity's squared complex detuning."""
         return self.delta_c**2 + self.kappa_c**2 / 4.0
 
+    @property
+    def threshold_core(self) -> float:
+        """omega_m r2 + 4 g_c^2 delta_c; at red detuning it is 0 at g_c_max, > 0 below it."""
+        return self.omega_m * self.cavity_r2 + 4.0 * self.g_c**2 * self.delta_c
+
 
 def fig1_cooled() -> SystemParams:
     """Bath-engine parameters of the laser-cooled working point."""

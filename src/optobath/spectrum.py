@@ -169,7 +169,7 @@ def _eta_den_core(p: SystemParams) -> float:
     The zero sits exactly at g_c = g_c_max; a relative tolerance absorbs the
     rounding of a threshold value that went through a square root.
     """
-    core = p.omega_m * p.cavity_r2 + 4.0 * p.g_c**2 * p.delta_c
+    core = p.threshold_core
     if abs(core) < 1e-12 * p.omega_m * p.cavity_r2:
         raise DivergenceError("low-frequency slope diverges: g_c at threshold")
     return core

@@ -22,6 +22,7 @@ MARGINAL = "marginal"
 # Spectral abscissae inside this band are reported as marginal: strict
 # Routh-Hurwitz inequalities do not classify the boundary.
 MARGIN = 1e-9
+_CELL_BUDGET = 1 << 16  # cells per row slice of _classify: an 18 MiB stack of 6x6 matrices
 
 
 class UnstableError(ValueError):
@@ -71,13 +72,13 @@ def drift_matrix_full(p: SystemParams) -> np.ndarray:
 def routh_hurwitz_qc(p: SystemParams) -> tuple[float, bool]:
     """Analytic criterion for the 4x4 system at red detuning.
 
-    Returns (value, stable) with value = 4 g_c^2 delta_c + r2 * omega_m;
-    the system is stable iff the value is positive. The zero of the value
-    in g_c coincides with g_c_max.
+    Returns (value, stable) with value = p.threshold_core = omega_m r2 + 4 g_c^2
+    delta_c; the system is stable iff the value is positive. The zero of the
+    value in g_c coincides with g_c_max.
     """
     if p.delta_c >= 0:
         raise ValueError("criterion applies to red detuning (delta_c < 0)")
-    value = 4.0 * p.g_c**2 * p.delta_c + p.cavity_r2 * p.omega_m
+    value = p.threshold_core
     return value, value > 0
 
 
@@ -232,10 +233,10 @@ class StabilityMap:
                 "eigen": self.eigen, "disagree": self.disagree}
 
     def to_csv(self) -> str:
-        """One row per cell, var1 varying slowest."""
-        n1, n2 = len(self.values1), len(self.values2)
-        return _table.to_csv({self.var1: np.repeat(self.values1, n2),
-                              self.var2: np.tile(self.values2, n1),
+        """One row per cell, var1 varying slowest; each axis value is formatted once."""
+        cells1, cells2 = _table._cells(self.values1), _table._cells(self.values2)
+        return _table.to_csv({self.var1: [c for c in cells1 for _ in cells2],
+                              self.var2: cells2 * len(cells1),
                               **{k: np.ravel(v) for k, v in self._cells().items()}})
 
     def to_json(self) -> str:
@@ -253,20 +254,24 @@ def _classify(cells, shape) -> dict:
     and analytic is None); disagree is set where they apply and the abscissa is not marginal.
     """
     cells = {name: np.broadcast_to(value, shape) for name, value in cells.items()}
-    mats = drift_matrices(cells)
-    abscissa = _abscissae(mats)[0]
-    decoupled = cells["g_a"] <= 0  # overwritten in place: mats[g_a > 0] would copy the stack
-    abscissa[decoupled] = _abscissae(mats[decoupled, :4, :4])[0]
-    eigen = _verdicts(abscissa)
-
-    applies = _at_optimal(cells) & (cells["gamma_m"] == 0.0)
-    c1, c2, c3, ok = analytic_criteria(cells)
-    s1, s2, s3 = (np.where(applies, c, np.nan) for c in (c1, c2, c3))
-    analytic = np.full(shape, None, dtype=object)
-    analytic[applies] = ok[applies]
-    disagree = applies & (eigen != MARGINAL) & (ok != (eigen == STABLE))
-    return {"s1": s1, "s2": s2, "s3": s3, "abscissa": abscissa,
-            "analytic": analytic, "eigen": eigen, "disagree": disagree}
+    out = {name: np.empty(shape, kind) for name, kind in zip(  # object arrays start as None
+        ("s1", "s2", "s3", "abscissa", "analytic", "eigen", "disagree"), "ddddOO?")}
+    rows = max(1, _CELL_BUDGET // int(np.prod(shape[1:])))
+    for i in range(0, shape[0], rows):
+        c, o = ({name: v[i:i + rows] for name, v in d.items()} for d in (cells, out))  # o: views
+        mats = drift_matrices(c)
+        abscissa = o["abscissa"]
+        abscissa[...] = _abscissae(mats)[0]
+        decoupled = c["g_a"] <= 0  # overwritten in place: mats[g_a > 0] would copy the stack
+        abscissa[decoupled] = _abscissae(mats[decoupled, :4, :4])[0]
+        o["eigen"][...] = eigen = _verdicts(abscissa)
+        applies = _at_optimal(c) & (c["gamma_m"] == 0.0)
+        c1, c2, c3, ok = analytic_criteria(c)
+        for name, value in zip(("s1", "s2", "s3"), (c1, c2, c3)):
+            o[name][...] = np.where(applies, value, np.nan)
+        o["analytic"][applies] = ok[applies]
+        o["disagree"][...] = applies & (eigen != MARGINAL) & (ok != (eigen == STABLE))
+    return out
 
 
 def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> StabilityMap:
@@ -282,9 +287,9 @@ def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> St
         raise ValueError("sweep grids must be non-empty 1-d arrays")
 
     for var, values in {var1: values1, var2: values2}.items():
-        for v in values:
+        for v in (values.min(), values.max()):  # NaN reaches both; each field rule is an interval
             replace(p, **{var: float(v)})  # SystemParams rejects invalid swept values
 
-    grid1, grid2 = np.meshgrid(values1, values2, indexing="ij")
-    cells = _classify({**vars(p), var1: grid1, var2: grid2}, grid1.shape)
+    cells = _classify({**vars(p), var1: values1[:, None], var2: values2},
+                      (len(values1), len(values2)))
     return StabilityMap(var1=var1, values1=values1, var2=var2, values2=values2, **cells)

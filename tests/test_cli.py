@@ -387,6 +387,32 @@ class TestExitCodes:
         assert result.stdout.startswith("omega,")
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main reuses one parser: no call may see the flags, defaults or failure of
+    # an earlier one, so each output matches that call run in a fresh process
+    stability = ("stability", "--preset", "fig1-cooled", "--count1", "4", "--count2", "3")
+    spectrum = ("spectrum", "--preset", "fig1-bare", "--gc", "0.3", "--grid-count", "6",
+                "--grid-scale", "lin", "--format", "json")
+    alone = {argv: subprocess.run([sys.executable, "-m", "optobath.cli", *argv],
+                                  capture_output=True, text=True, check=True).stdout
+             for argv in (stability, spectrum)}
+    first = run_cli_text(*stability)
+    second = run_cli_text(*spectrum)
+    with pytest.raises(SystemExit) as exc:
+        run_cli_text("stability", "--format", "xml")
+    assert exc.value.code == 2
+    refused = run_cli_text("stability", "--var2", "g_c", "--count1", "3", "--count2", "3")
+    again = run_cli_text(*stability)
+    assert first == again == (0, alone[stability], "")
+    assert second == (0, alone[spectrum], "")
+    assert refused[0] == 2 and "different" in refused[2]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("optobath ")
+
+
 ORACLE_NAMES = {
     "correlation": ["CorrelationSeries", "SampleMoments", "c_qq_optical", "c_qq_representation",
                     "c_qq_thermal", "c_qq_total", "correlation_series", "diffusion_matrix",

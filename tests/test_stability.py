@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from optobath import (
     stability_map,
     stability_report,
 )
+from optobath import _table, stability
 from optobath.stability import _classify, at_optimal_detuning, require_stable, resonances
 from optobath.validate import fig1_cooled
 
@@ -101,6 +103,17 @@ class TestRouthHurwitzQc:
     def test_rejects_blue_detuning(self, fig1):
         with pytest.raises(ValueError):
             routh_hurwitz_qc(replace(fig1, delta_c=0.5))
+
+    def test_value_is_the_threshold_core_bit_for_bit(self):
+        # both former spellings of the core: the criterion's and eta's denominator's
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            p = SystemParams(omega_m=rng.uniform(0.1, 10.0), kappa_c=rng.uniform(0.01, 5.0),
+                             delta_c=-rng.uniform(0.01, 5.0), g_c=rng.uniform(0.0, 3.0))
+            value, _ = routh_hurwitz_qc(p)
+            assert value == p.threshold_core
+            assert value == 4.0 * p.g_c**2 * p.delta_c + p.cavity_r2 * p.omega_m
+            assert value == p.omega_m * p.cavity_r2 + 4.0 * p.g_c**2 * p.delta_c
 
     def test_threshold_matches_g_c_max(self, fig1_cold):
         lo, hi = 0.01, 0.8
@@ -401,6 +414,97 @@ def test_stability_map_matches_per_cell_route_at_special_cells(fig1_cold):
 def test_invalid_swept_value_rejected(fig1_cold, var, value):
     with pytest.raises(ValueError):
         stability_map(fig1_cold, var, np.array([value, 0.5]), "g_c", np.array([0.1]))
+
+
+# Legal sweeps of each sweepable field, and values its SystemParams rule rejects.
+LEGAL_SWEEPS = {"g_c": [0.1, 0.2, 0.3], "g_a": [0.1, 0.2, 0.3], "delta_a": [-3.0, -1.0, 0.5],
+                "delta_c": [-1.0, -0.5, 0.5], "kappa_c": [0.5, 1.0, 2.0],
+                "gamma_m": [1e-3, 1e-2, 0.1]}
+NONFINITE = [math.nan, math.inf, -math.inf]
+BAD_VALUES = {"g_c": NONFINITE + [-0.1], "g_a": NONFINITE + [-1e-300],
+              "delta_a": NONFINITE, "delta_c": NONFINITE,
+              "kappa_c": NONFINITE + [0.0, -0.5], "gamma_m": NONFINITE + [-1e-3]}
+
+
+@pytest.mark.parametrize("var,value", [(var, value) for var, values in BAD_VALUES.items()
+                                       for value in values])
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_invalid_swept_value_rejected_anywhere(fig1_cold, var, value, position, axis):
+    # the bad value first, in the middle or last of either axis
+    legal = LEGAL_SWEEPS[var] + [0.4 if var != "delta_a" else 1.0]
+    sweep = np.insert(np.array(legal), position, value)
+    other = "g_a" if var == "g_c" else "g_c"
+    args = (var, sweep, other, np.array([0.1, 0.2]))
+    with pytest.raises(ValueError):
+        stability_map(fig1_cold, *(args if axis == 1 else args[2:] + args[:2]))
+
+
+@pytest.mark.parametrize("var,boundary", [("g_c", 0.0), ("g_a", 0.0), ("gamma_m", 0.0),
+                                          ("delta_a", 0.0), ("delta_c", 0.0),
+                                          ("kappa_c", 1e-300)])
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_legal_boundary_value_in_sweep_passes(fig1_cold, var, boundary, position):
+    sweep = np.insert(np.array(LEGAL_SWEEPS[var]), position, boundary)
+    other = "g_a" if var == "g_c" else "g_c"
+    smap = stability_map(fig1_cold, var, sweep, other, np.array([0.1, 0.2]))
+    assert smap.abscissa.shape == (4, 2)
+
+
+def _random_cells(rng, shape):
+    """Swept fields of random cells, with g_a = 0 and analytic-criteria cells mixed in."""
+    g_a = np.where(rng.random(shape) < 0.25, 0.0, rng.uniform(0.0, 0.6, shape))
+    return {"g_c": rng.uniform(0.0, 0.8, shape), "g_a": g_a,
+            "delta_a": rng.uniform(-5.0, -0.1, shape),
+            "gamma_m": np.where(rng.random(shape) < 0.5, 0.0, 1e-3)}
+
+
+def _assert_same_bits(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].dtype == b[name].dtype and a[name].shape == b[name].shape, name
+        if a[name].dtype == object:
+            assert a[name].tolist() == b[name].tolist(), name
+        else:
+            assert a[name].tobytes() == b[name].tobytes(), name
+
+
+@pytest.mark.parametrize("shape,budget", [((50,), 16), ((10, 7), 20), ((9, 40), 16)])
+def test_chunked_classify_matches_one_batch(fig1_cold, monkeypatch, shape, budget):
+    # 4, 5 and 9 slices (the last with one row per slice, a row being over budget)
+    cells = {**vars(fig1_cold), **_random_cells(np.random.default_rng(7), shape)}
+    whole = _classify(cells, shape)
+    monkeypatch.setattr(stability, "_CELL_BUDGET", budget)
+    chunked = _classify(cells, shape)
+    assert any(verdict is not None for verdict in chunked["analytic"].ravel())
+    assert (chunked["eigen"] == STABLE).any() and (chunked["eigen"] == UNSTABLE).any()
+    _assert_same_bits(chunked, whole)
+
+
+def test_classify_working_set_is_bounded_by_the_cell_budget(fig1_cold):
+    # three slices of 2^16 cells: the 6x6 stack and its temporaries of one slice
+    # (about 35 MiB) stay above what the result holds; one batch would need 63 MiB
+    n1, n2 = 3 * stability._CELL_BUDGET // 256, 256
+    tracemalloc.start()
+    try:
+        smap = stability_map(fig1_cold, "g_c", np.linspace(0.0, 0.7, n1),
+                             "g_a", np.linspace(0.0, 0.6, n2))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert smap.abscissa.shape == (n1, n2)
+    assert peak - kept < 48 * 2**20
+
+
+def test_csv_formats_each_axis_value_once_with_the_same_bytes(fig1_cold):
+    values1 = np.concatenate([np.linspace(-3.0, -0.5, 57), [-0.0, 0.0, 0.7]])
+    values2 = np.linspace(0.0, 0.8, 70)
+    smap = stability_map(fig1_cold, "delta_a", values1, "g_c", values2)
+    repeated = {"delta_a": np.repeat(values1, 70), "g_c": np.tile(values2, 60),
+                **{k: np.ravel(v) for k, v in smap._cells().items()}}
+    text = smap.to_csv()
+    assert text == _table.to_csv(repeated)
+    assert "\n-0.000000000000e+00," in text
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -72,9 +72,9 @@ def drift_matrix_full(p: SystemParams) -> np.ndarray:
 def routh_hurwitz_qc(p: SystemParams) -> tuple[float, bool]:
     """Analytic criterion for the 4x4 system at red detuning.
 
-    Returns (value, stable) with value = p.threshold_core = omega_m r2 + 4 g_c^2
-    delta_c; the system is stable iff the value is positive. The zero of the
-    value in g_c coincides with g_c_max.
+    Returns (value, stable) with value = p.threshold_core, which is
+    omega_m r2 + 4 g_c^2 delta_c; the system is stable iff the value is
+    positive. The zero of the value in g_c coincides with g_c_max.
     """
     if p.delta_c >= 0:
         raise ValueError("criterion applies to red detuning (delta_c < 0)")

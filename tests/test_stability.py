@@ -482,8 +482,9 @@ def test_chunked_classify_matches_one_batch(fig1_cold, monkeypatch, shape, budge
 
 
 def test_classify_working_set_is_bounded_by_the_cell_budget(fig1_cold):
-    # three slices of 2^16 cells: the 6x6 stack and its temporaries of one slice
-    # (about 35 MiB) stay above what the result holds; one batch would need 63 MiB
+    # three slices of 2^16 cells: above what the result keeps, the peak holds one
+    # slice's 6x6 stack and temporaries (about 35 MiB); one batch of all the cells
+    # would need about 63 MiB
     n1, n2 = 3 * stability._CELL_BUDGET // 256, 256
     tracemalloc.start()
     try:

@@ -8,9 +8,9 @@ laser-cooling-dominated forms, and the coupling threshold g_c_max beyond
 which the low-frequency damping changes sign.
 
 ohmic_j, j_eff and beta_eff check their arguments once per call, then
-evaluate a private formula that checks nothing. The adaptive integrands,
-which QUADPACK samples one float at a time, call those formulas directly;
-a non-finite integral raises QuadratureError.
+evaluate a private formula that checks nothing. compute_spectrum, after its
+own checks, and the adaptive integrands (QUADPACK samples one float at a
+time) call those formulas directly; a non-finite integral raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -303,8 +303,7 @@ def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:
     j = np.full_like(grid, np.nan)
     b = np.full_like(grid, np.nan)
     ok = ~pole
-    if np.any(ok):
-        j[ok] = j_eff(grid[ok], p)
-        b[ok] = beta_eff(grid[ok], p)
+    j[ok] = _j_eff(grid[ok], p)
+    b[ok] = _beta_eff(grid[ok], p)
     flags = np.where(pole, FLAG_POLE, np.where(b <= 0, FLAG_NONTHERMAL, FLAG_OK)).tolist()
     return BathSpectrum(grid=grid, j_eff=j, beta_eff=b, flags=flags)

@@ -18,11 +18,12 @@ from .params import SQRT3, SystemParams
 STABLE = "stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
+_VERDICTS = np.array([STABLE, MARGINAL, UNSTABLE], dtype=object)
 
 # Spectral abscissae inside this band are reported as marginal: strict
 # Routh-Hurwitz inequalities do not classify the boundary.
 MARGIN = 1e-9
-_CELL_BUDGET = 1 << 16  # cells per row slice of _classify: an 18 MiB stack of 6x6 matrices
+_CELL_BUDGET = 1 << 16  # cells per flat slice of _classify: an 18 MiB stack of 6x6 matrices
 
 
 class UnstableError(ValueError):
@@ -133,15 +134,14 @@ def _abscissae(m):
 
 
 def _verdicts(abscissa):
-    """Three-way verdicts (object array of str) for spectral abscissae."""
-    return np.where(np.abs(abscissa) < MARGIN, MARGINAL,
-                    np.where(abscissa < 0, STABLE, UNSTABLE)).astype(object)
+    """Three-way verdicts for spectral abscissae, each one of the three module constants."""
+    return _VERDICTS[np.where(np.abs(abscissa) < MARGIN, 1, np.where(abscissa < 0, 0, 2))]
 
 
 def eigen_stable(m: np.ndarray) -> tuple[float, str]:
     """Spectral abscissa of a real drift matrix and the three-way verdict."""
     abscissa, _ = _abscissae(m)
-    return float(abscissa), _verdicts(abscissa).item()
+    return float(abscissa), _verdicts(abscissa)
 
 
 def require_stable(p: SystemParams) -> np.ndarray:
@@ -200,7 +200,7 @@ def stability_report(p: SystemParams) -> StabilityReport:
         s3=s3,
         rh_value=rh_value,
         rh_stable=rh_ok,
-        eig_stable=_verdicts(abscissa).item(),
+        eig_stable=_verdicts(abscissa),
         spectral_abscissa=float(abscissa),
         eigenvalues=eigs,
     )
@@ -245,20 +245,21 @@ class StabilityMap:
                                "var2": self.var2, "values2": self.values2, **self._cells()})
 
 
-def _classify(cells, shape) -> dict:
-    """StabilityMap's per-cell fields for a SystemParams field mapping broadcast to ``shape``.
+def _classify(cells) -> dict:
+    """StabilityMap's per-cell fields, flat, in slices of _CELL_BUDGET cells whatever their count.
 
-    The eigenvalue verdict reads the 6x6 matrix where g_a > 0 and the 4x4 one otherwise (a
-    decoupled probe's undamped rotation would mask the bath engine's own stability). The
-    analytic criteria apply at optimal detuning with gamma_m = 0 (elsewhere s1..s3 are NaN
-    and analytic is None); disagree is set where they apply and the abscissa is not marginal.
+    ``cells`` maps SystemParams fields to floats and equal-length 1-d arrays. The eigenvalue
+    verdict reads the 6x6 matrix where g_a > 0 and the 4x4 one otherwise (a decoupled probe's
+    undamped rotation would mask the bath engine's own stability). The analytic criteria apply
+    at optimal detuning with gamma_m = 0 (elsewhere s1..s3 are NaN and analytic is None);
+    disagree is set where they apply and the abscissa is not marginal.
     """
-    cells = {name: np.broadcast_to(value, shape) for name, value in cells.items()}
-    out = {name: np.empty(shape, kind) for name, kind in zip(  # object arrays start as None
+    (n,) = np.broadcast_shapes(*(np.shape(value) for value in cells.values()))
+    cells = {name: np.broadcast_to(value, n) for name, value in cells.items()}
+    out = {name: np.empty(n, kind) for name, kind in zip(  # object arrays start as None
         ("s1", "s2", "s3", "abscissa", "analytic", "eigen", "disagree"), "ddddOO?")}
-    rows = max(1, _CELL_BUDGET // int(np.prod(shape[1:])))
-    for i in range(0, shape[0], rows):
-        c, o = ({name: v[i:i + rows] for name, v in d.items()} for d in (cells, out))  # o: views
+    for i in range(0, n, _CELL_BUDGET):
+        c, o = ({name: v[i:i + _CELL_BUDGET] for name, v in d.items()} for d in (cells, out))
         mats = drift_matrices(c)
         abscissa = o["abscissa"]
         abscissa[...] = _abscissae(mats)[0]
@@ -290,6 +291,7 @@ def stability_map(p: SystemParams, var1: str, values1, var2: str, values2) -> St
         for v in (values.min(), values.max()):  # NaN reaches both; each field rule is an interval
             replace(p, **{var: float(v)})  # SystemParams rejects invalid swept values
 
-    cells = _classify({**vars(p), var1: values1[:, None], var2: values2},
-                      (len(values1), len(values2)))
-    return StabilityMap(var1=var1, values1=values1, var2=var2, values2=values2, **cells)
+    n1, n2 = len(values1), len(values2)
+    cells = _classify({**vars(p), var1: np.repeat(values1, n2), var2: np.tile(values2, n1)})
+    return StabilityMap(var1=var1, values1=values1, var2=var2, values2=values2,
+                        **{name: value.reshape(n1, n2) for name, value in cells.items()})

@@ -116,8 +116,7 @@ def check_stability_oracle(p: SystemParams | None = None, *, seed: int) -> dict:
     g_c = rng.uniform(0.0, 0.8, n_draws)
     g_a = rng.uniform(0.0, 0.6, n_draws)
     d_a = rng.uniform(-5.0, -0.1, n_draws)
-    cells = stability._classify({**vars(base), "g_c": g_c, "g_a": g_a, "delta_a": d_a},
-                                g_c.shape)
+    cells = stability._classify({**vars(base), "g_c": g_c, "g_a": g_a, "delta_a": d_a})
     outside = cells["eigen"] != stability.MARGINAL
     disagreements = int(cells["disagree"].sum())
 

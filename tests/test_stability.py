@@ -471,37 +471,71 @@ def _assert_same_bits(a, b):
 
 @pytest.mark.parametrize("shape,budget", [((50,), 16), ((10, 7), 20), ((9, 40), 16)])
 def test_chunked_classify_matches_one_batch(fig1_cold, monkeypatch, shape, budget):
-    # 4, 5 and 9 slices (the last with one row per slice, a row being over budget)
-    cells = {**vars(fig1_cold), **_random_cells(np.random.default_rng(7), shape)}
-    whole = _classify(cells, shape)
+    # 4, 4 and 23 flat slices, the last of each one short
+    random = _random_cells(np.random.default_rng(7), shape)
+    cells = {**vars(fig1_cold), **{name: value.ravel() for name, value in random.items()}}
+    whole = _classify(cells)
     monkeypatch.setattr(stability, "_CELL_BUDGET", budget)
-    chunked = _classify(cells, shape)
+    chunked = _classify(cells)
     assert any(verdict is not None for verdict in chunked["analytic"].ravel())
     assert (chunked["eigen"] == STABLE).any() and (chunked["eigen"] == UNSTABLE).any()
     _assert_same_bits(chunked, whole)
 
 
-def test_classify_working_set_is_bounded_by_the_cell_budget(fig1_cold):
-    # three slices of 2^16 cells: above what the result keeps, the peak holds one
-    # slice's 6x6 stack and temporaries (about 35 MiB); one batch of all the cells
-    # would need about 63 MiB
-    n1, n2 = 3 * stability._CELL_BUDGET // 256, 256
+def _traced_map(p, n1, n2):
+    """A g_c x g_a map of n1 x n2 cells, with the bytes it keeps and its traced peak."""
     tracemalloc.start()
     try:
-        smap = stability_map(fig1_cold, "g_c", np.linspace(0.0, 0.7, n1),
-                             "g_a", np.linspace(0.0, 0.6, n2))
+        smap = stability_map(p, "g_c", np.linspace(0.0, 0.7, n1), "g_a", np.linspace(0.0, 0.6, n2))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert smap.abscissa.shape == (n1, n2)
+    return smap, kept, peak
+
+
+@pytest.mark.parametrize("n1,n2", [(3 * stability._CELL_BUDGET // 256, 256),
+                                   (1, 3 * stability._CELL_BUDGET)], ids=["rows", "one-row"])
+def test_classify_working_set_is_bounded_by_the_cell_budget(fig1_cold, n1, n2):
+    # three slices of 2^16 cells, whatever the shape: above what the result keeps,
+    # the peak holds one slice's 6x6 stack and temporaries (about 35 MiB); one batch
+    # of all the cells would need about 63 MiB
+    _, kept, peak = _traced_map(fig1_cold, n1, n2)
     assert peak - kept < 48 * 2**20
 
 
-def test_csv_formats_each_axis_value_once_with_the_same_bytes(fig1_cold):
-    values1 = np.concatenate([np.linspace(-3.0, -0.5, 57), [-0.0, 0.0, 0.7]])
-    values2 = np.linspace(0.0, 0.8, 70)
+def test_verdicts_are_the_three_shared_constants(fig1_cold):
+    # g_c = g_a = 0 leaves the undamped mechanics (marginal); g_c past g_c_max is unstable
+    shared = {id(STABLE), id(MARGINAL), id(UNSTABLE)}
+    smap = stability_map(fig1_cold, "g_c", [0.0, 0.3, 0.7], "g_a", [0.0, 0.1])
+    assert {id(verdict) for verdict in smap.eigen.ravel()} == shared
+    for g_c in (0.0, 0.3, 0.7):
+        p = replace(fig1_cold, g_c=g_c, g_a=0.0)
+        assert id(eigen_stable(drift_matrix_qc(p))[1]) in shared
+        assert id(stability_report(p).eig_stable) in shared
+
+
+def test_map_keeps_under_64_bytes_per_cell(fig1_cold):
+    # four float fields, two object fields and one bool field: 49 B per cell, with
+    # every verdict a reference to a shared constant rather than its own str
+    stability_map(fig1_cold, "g_c", [0.1], "g_a", [0.1])  # first-call allocations
+    smap, kept, _ = _traced_map(fig1_cold, 300, 300)
+    assert (smap.eigen == STABLE).any() and (smap.eigen == UNSTABLE).any()
+    assert kept < 64 * 300 * 300
+
+
+CSV_VALUES1 = np.concatenate([np.linspace(-3.0, -0.5, 57), [-0.0, 0.0, 0.7]])
+
+
+@pytest.mark.parametrize("values1,values2", [
+    (CSV_VALUES1, np.linspace(0.0, 0.8, 70)),
+    (np.array([-0.0]), np.linspace(0.0, 0.8, 70)),
+    (CSV_VALUES1, np.array([0.4])),
+], ids=["60x70", "1x70", "60x1"])
+def test_csv_formats_each_axis_value_once_with_the_same_bytes(fig1_cold, values1, values2):
     smap = stability_map(fig1_cold, "delta_a", values1, "g_c", values2)
-    repeated = {"delta_a": np.repeat(values1, 70), "g_c": np.tile(values2, 60),
+    repeated = {"delta_a": np.repeat(values1, len(values2)),
+                "g_c": np.tile(values2, len(values1)),
                 **{k: np.ravel(v) for k, v in smap._cells().items()}}
     text = smap.to_csv()
     assert text == _table.to_csv(repeated)
@@ -518,7 +552,7 @@ def test_oracle_classification_matches_per_cell_route(fig1_cold, seed):
     g_a = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 0.6, n))
     d_a = rng.uniform(-5.0, -0.1, n)
     assert 0 < np.sum(g_a == 0) < n
-    cells = _classify({**vars(fig1_cold), "g_c": g_c, "g_a": g_a, "delta_a": d_a}, (n,))
+    cells = _classify({**vars(fig1_cold), "g_c": g_c, "g_a": g_a, "delta_a": d_a})
     for i in range(n):
         cell = replace(fig1_cold, g_c=g_c[i], g_a=g_a[i], delta_a=d_a[i])
         abscissa, verdict = eigen_stable(

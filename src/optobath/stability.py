@@ -8,6 +8,8 @@ with the analytic criteria property-tested against it.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +25,8 @@ _VERDICTS = np.array([STABLE, MARGINAL, UNSTABLE], dtype=object)
 # Spectral abscissae inside this band are reported as marginal: strict
 # Routh-Hurwitz inequalities do not classify the boundary.
 MARGIN = 1e-9
-_CELL_BUDGET = 1 << 16  # cells per flat slice of _classify: an 18 MiB stack of 6x6 matrices
+_CELL_BUDGET = 1 << 16  # cells in flight in _classify: 18 MiB of 6x6 matrices across its slices
+_MIN_SLICE = 384  # cells; below this a slice saves less than its share of a pool costs
 
 
 class UnstableError(ValueError):
@@ -246,32 +249,51 @@ class StabilityMap:
 
 
 def _classify(cells) -> dict:
-    """StabilityMap's per-cell fields, flat, in slices of _CELL_BUDGET cells whatever their count.
+    """StabilityMap's per-cell fields, flat, with at most _CELL_BUDGET cells in flight.
 
     ``cells`` maps SystemParams fields to floats and equal-length 1-d arrays. The eigenvalue
     verdict reads the 6x6 matrix where g_a > 0 and the 4x4 one otherwise (a decoupled probe's
-    undamped rotation would mask the bath engine's own stability). The analytic criteria apply
-    at optimal detuning with gamma_m = 0 (elsewhere s1..s3 are NaN and analytic is None);
-    disagree is set where they apply and the abscissa is not marginal.
+    undamped rotation would mask the bath engine's own stability); each cell's matrix goes to
+    ``eigvals`` once. The analytic criteria apply, and are evaluated, only at optimal detuning
+    with gamma_m = 0 (elsewhere s1..s3 are NaN and analytic is None); disagree is set where
+    they apply and the abscissa is not marginal. The cells are cut into one slice per CPU the
+    process may run on, at most _CELL_BUDGET // workers cells each, and filled in place from a
+    thread pool (``eigvals`` releases the GIL). Where a slice would hold fewer than _MIN_SLICE
+    cells the map runs inline. No cell's result depends on its slice.
     """
     (n,) = np.broadcast_shapes(*(np.shape(value) for value in cells.values()))
     cells = {name: np.broadcast_to(value, n) for name, value in cells.items()}
-    out = {name: np.empty(n, kind) for name, kind in zip(  # object arrays start as None
-        ("s1", "s2", "s3", "abscissa", "analytic", "eigen", "disagree"), "ddddOO?")}
-    for i in range(0, n, _CELL_BUDGET):
-        c, o = ({name: v[i:i + _CELL_BUDGET] for name, v in d.items()} for d in (cells, out))
-        mats = drift_matrices(c)
-        abscissa = o["abscissa"]
-        abscissa[...] = _abscissae(mats)[0]
-        decoupled = c["g_a"] <= 0  # overwritten in place: mats[g_a > 0] would copy the stack
-        abscissa[decoupled] = _abscissae(mats[decoupled, :4, :4])[0]
-        o["eigen"][...] = eigen = _verdicts(abscissa)
+    out = {name: np.full(n, fill, kind) for name, kind, fill in zip(
+        ("s1", "s2", "s3", "abscissa", "analytic", "eigen", "disagree"), "ddddOO?",
+        (np.nan, np.nan, np.nan, np.nan, None, None, False))}
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    share = -(-n // workers)
+    size = min(max(1, _CELL_BUDGET // workers), share if share >= _MIN_SLICE else n)
+
+    def fill(i):
+        c, o = ({name: v[i:i + size] for name, v in d.items()} for d in (cells, out))
+        coupled = c["g_a"] > 0
+        for cut, k in ((coupled, 6), (~coupled, 4)):
+            if cut.any():
+                mats = drift_matrices({name: v[cut] for name, v in c.items()})[:, :k, :k]
+                o["abscissa"][cut] = _abscissae(mats)[0]
+        o["eigen"][...] = _verdicts(o["abscissa"])
         applies = _at_optimal(c) & (c["gamma_m"] == 0.0)
-        c1, c2, c3, ok = analytic_criteria(c)
-        for name, value in zip(("s1", "s2", "s3"), (c1, c2, c3)):
-            o[name][...] = np.where(applies, value, np.nan)
-        o["analytic"][applies] = ok[applies]
-        o["disagree"][...] = applies & (eigen != MARGINAL) & (ok != (eigen == STABLE))
+        if applies.any():
+            *criteria, ok = analytic_criteria({name: v[applies] for name, v in c.items()})
+            for name, value in zip(("s1", "s2", "s3", "analytic"), (*criteria, ok)):
+                o[name][applies] = value
+            eigen = o["eigen"][applies]
+            o["disagree"][applies] = (eigen != MARGINAL) & (ok != (eigen == STABLE))
+
+    starts = range(0, n, size)
+    if workers == 1 or len(starts) == 1:
+        for i in starts:
+            fill(i)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, starts))  # reads every slice, re-raising the first error
     return out
 
 

@@ -1,5 +1,8 @@
 import math
+import os
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -480,6 +483,80 @@ def test_chunked_classify_matches_one_batch(fig1_cold, monkeypatch, shape, budge
     assert any(verdict is not None for verdict in chunked["analytic"].ravel())
     assert (chunked["eigen"] == STABLE).any() and (chunked["eigen"] == UNSTABLE).any()
     _assert_same_bits(chunked, whole)
+
+
+def _pin_cores(monkeypatch, cores):
+    """Make _classify see ``cores`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def _count_eigvals(monkeypatch):
+    """Record (matrix size, matrix count, calling thread) of every np.linalg.eigvals call."""
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counted(m):
+        calls.append((m.shape[-1], math.prod(m.shape[:-2]), threading.get_ident()))
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def test_each_cell_goes_to_eigvals_once(fig1_cold, monkeypatch):
+    # 7 of the 21 cells have g_a = 0 and take the 4x4 block alone; cut into slices of 4
+    # cells on two workers, so the count holds across slices and threads too
+    _pin_cores(monkeypatch, 2)
+    monkeypatch.setattr(stability, "_CELL_BUDGET", 8)
+    calls = _count_eigvals(monkeypatch)
+    stability_map(fig1_cold, "g_c", np.linspace(0.0, 0.5, 7), "g_a", [0.0, 0.1, 0.2])
+    counts = {size: sum(k for s, k, _ in calls if s == size) for size in (4, 6)}
+    assert counts == {6: 14, 4: 7} and sum(k for _, k, _ in calls) == 21
+
+
+CORE_CASES = {"coupled": lambda g_a: np.where(g_a > 0, g_a, 0.3), "decoupled": np.zeros_like,
+              "mixed": lambda g_a: g_a}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("case", [*CORE_CASES, "1x1"])
+def test_worker_count_never_changes_a_bit(fig1_cold, monkeypatch, cores, case):
+    # 50 cells in slices of 12 // cores, against one inline slice at one core
+    random = _random_cells(np.random.default_rng(11), (50,))
+    if case == "1x1":
+        random = {name: value[:1] for name, value in random.items()}
+    else:
+        random["g_a"] = CORE_CASES[case](random["g_a"])
+    cells = {**vars(fig1_cold), **random}
+    _pin_cores(monkeypatch, 1)
+    whole = _classify(cells)
+    _pin_cores(monkeypatch, cores)
+    monkeypatch.setattr(stability, "_CELL_BUDGET", 12)
+    calls = _count_eigvals(monkeypatch)
+    sliced = _classify(cells)
+    _assert_same_bits(sliced, whole)
+    threads = {thread for *_, thread in calls}
+    on_pool = cores > 1 and case != "1x1"
+    assert (threading.get_ident() in threads) != on_pool and len(threads) <= cores
+
+
+def test_worker_error_reaches_the_caller(fig1_cold, monkeypatch):
+    # slices of 8 cells on two workers; the bad cell sits in the sixth of seven
+    _pin_cores(monkeypatch, 2)
+    monkeypatch.setattr(stability, "_CELL_BUDGET", 16)
+    random = _random_cells(np.random.default_rng(5), (50,))
+    random["g_c"][45] = np.inf
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="drift matrix must be finite"):
+        _classify({**vars(fig1_cold), **random})
+    assert threading.active_count() == before
+
+
+def test_inapplicable_criteria_are_not_evaluated():
+    # at gamma_m > 0 s1..s3 do not apply, so g_c^2 = 1e400 must not be formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smap = stability_map(fig1_cooled(), "g_c", [1e200], "g_a", [0.1])
+    assert smap.eigen[0, 0] == UNSTABLE and np.isnan(smap.s1[0, 0])
 
 
 def _traced_map(p, n1, n2):

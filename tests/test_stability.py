@@ -474,7 +474,7 @@ def _assert_same_bits(a, b):
 
 @pytest.mark.parametrize("shape,budget", [((50,), 16), ((10, 7), 20), ((9, 40), 16)])
 def test_chunked_classify_matches_one_batch(fig1_cold, monkeypatch, shape, budget):
-    # 4, 4 and 23 flat slices, the last of each one short
+    # slices of budget // CPUs cells: 4, 4 and 23 on one CPU, the last of each one short
     random = _random_cells(np.random.default_rng(7), shape)
     cells = {**vars(fig1_cold), **{name: value.ravel() for name, value in random.items()}}
     whole = _classify(cells)
@@ -574,9 +574,9 @@ def _traced_map(p, n1, n2):
 @pytest.mark.parametrize("n1,n2", [(3 * stability._CELL_BUDGET // 256, 256),
                                    (1, 3 * stability._CELL_BUDGET)], ids=["rows", "one-row"])
 def test_classify_working_set_is_bounded_by_the_cell_budget(fig1_cold, n1, n2):
-    # three slices of 2^16 cells, whatever the shape: above what the result keeps,
-    # the peak holds one slice's 6x6 stack and temporaries (about 35 MiB); one batch
-    # of all the cells would need about 63 MiB
+    # three times 2^16 cells, whatever the shape: above what the result keeps, the peak
+    # holds the 6x6 stacks and temporaries of 2^16 cells across the slices in flight
+    # (about 28 MiB on one CPU or two); one batch of all the cells would need about 63 MiB
     _, kept, peak = _traced_map(fig1_cold, n1, n2)
     assert peak - kept < 48 * 2**20
 

@@ -27,9 +27,9 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from . import _table
 from ._quad import QuadratureError, frequency_cutoff, spectral_integral
-from .params import SystemParams, count_at_least, finite_real, finite_reals
+from .params import SystemParams, count_at_least, fan_out, finite_real, finite_reals, usable_cpus
 from .response import chi_q_inv, lorentzian, lorentzian_asymmetry
-from .spectrum import _beta_eff, _j_eff, _ohmic_j, _require_bath
+from .spectrum import _bath_terms, _beta_eff, _j_eff, _ohmic_j, _require_bath
 from .stability import require_stable, resonances
 
 
@@ -113,11 +113,12 @@ def _representation_integrands(p: SystemParams):
     require_stable(p)
 
     def f_cos(w):
-        coth = 1.0 + 2.0 / np.expm1(w * _beta_eff(w, p))
-        return _j_eff(w, p) * coth / math.pi
+        terms = _bath_terms(w, p)
+        coth = 1.0 + 2.0 / np.expm1(w * _beta_eff(w, p, terms))
+        return _j_eff(w, p, terms) * coth / math.pi
 
     def f_sin(w):
-        return _j_eff(w, p) / math.pi
+        return _j_eff(w, p, _bath_terms(w, p)) / math.pi
 
     return f_cos, f_sin
 
@@ -177,7 +178,7 @@ def _gauss_frequency_grid(p: SystemParams, n: int):
 
 
 _TABLE_SIZE = 1 << 21  # complex entries per phase table (per slice of nodes, uniform grid)
-_CHUNK_SIZE = 1 << 18  # complex entries per chunk's table on any other grid: about one L2
+_CHUNK_SIZE = 1 << 17  # complex entries per chunk's table on any other grid: 2 MiB, one core's L2
 
 
 def _doubled(first: np.ndarray, m: int, w: np.ndarray, step) -> np.ndarray:
@@ -217,7 +218,10 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     s + k d instead, e^{iwt} = e^{its} (e^{itd})^k: the 4 runs of a block share
     d, so each time takes one exponential per run and log2 K per block, and
     one real GEMM of [a, b] against the table per chunk of times, each table
-    within 2^18 entries (4 MiB, about one core's L2 cache).
+    within 2^17 entries (2 MiB, one core's L2 cache). The chunks run on up to
+    two of the CPUs the process may run on, the caller one of them, so at most
+    2^18 entries are in flight; a chunk's width does not depend on that count,
+    so neither does any bit of the result.
     """
     pair = _integrands(p, which)
     times = finite_reals("times", times)
@@ -246,12 +250,15 @@ def correlation_series(p: SystemParams, times, which: str = "total",
     else:
         sums = np.empty((n, 2), complex)
         chunk = max(1, _CHUNK_SIZE // len(w))
-        for j in range(0, n, chunk):
+
+        def fill(j):
             t = times[j:j + chunk]
             first = np.exp(1j * np.outer(starts, t)).reshape(4, len(h_block), len(t))
             table = _doubled(first, len(w) // len(starts), h_block[:, None], t)  # (k, g, block, t)
             sums[j:j + chunk] = (ab @ table.reshape(-1, len(t)).view(float)).view(complex).T
-            del table  # before the next chunk's is built
+
+        chunks = range(0, n, chunk)
+        fan_out(fill, chunks, min(usable_cpus(), 2, len(chunks)))  # at most two tables at once
     values = (sums[:, 0::2] + sums[:, 1::2].conj()).ravel()[:n]
     return CorrelationSeries(times=times, values=values, tag=which)
 

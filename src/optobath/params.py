@@ -1,5 +1,8 @@
 """Parameter set, unit conventions and steady-state pump relations.
 
+It also holds what the other modules share: the argument checks, and the
+fan-out that runs a loop's items on the caller and a few pool threads.
+
 Everything downstream works in natural units hbar = k_B = M = 1, with all
 rates and detunings quoted in units of the mechanical frequency omega_m.
 In these units the mechanical zero-point spread is q_zpf = sqrt(1/(2 omega_m)),
@@ -11,6 +14,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, asdict, replace
 
 import numpy as np
@@ -59,11 +65,55 @@ def check_fields(record, *, positive=(), nonneg=()) -> None:
             raise ValueError(f"{name} must be >= 0, got {getattr(record, name)!r}")
 
 
-def check_frequency(name: str, omega, *, allow_zero: bool = False) -> None:
-    """ValueError unless every omega is finite and > 0 (>= 0 with allow_zero); only inspects."""
+def check_frequency(name: str, omega, *, allow_zero: bool = False):
+    """``omega``, a list or tuple as an array, if every entry is finite and > 0 (>= 0 with
+    allow_zero); else ValueError. A number or an array comes back as given, keeping its bits."""
     w = np.asarray(omega)
     if not (((w >= 0) if allow_zero else (w > 0)) & (w < math.inf)).all():
         raise ValueError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0")
+    return w if isinstance(omega, (list, tuple)) else omega
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on now (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fan_out(fill, starts, workers: int) -> None:
+    """Call fill(start) for each start, on ``workers`` threads, the caller one of them.
+
+    Runs inline when there is one worker or at most one start. Otherwise a per-call pool
+    of workers - 1 threads and the caller draw starts from one shared iterator, the caller
+    taking its first before any helper starts; after an error no thread takes a new start,
+    and the first error is re-raised once every thread has stopped.
+    """
+    if workers <= 1 or len(starts) <= 1:
+        for start in starts:
+            fill(start)
+        return
+    items, lock, errors = iter(starts), threading.Lock(), []
+
+    def take():
+        with lock:
+            return next(items, None)
+
+    def drain(start):
+        try:
+            while start is not None and not errors:
+                fill(start)
+                start = take()
+        except BaseException as exc:  # re-raised on the caller
+            errors.append(exc)
+
+    first = take()
+    with ThreadPoolExecutor(workers - 1) as pool:
+        for _ in range(workers - 1):
+            pool.submit(lambda: drain(take()))
+        drain(first)
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)

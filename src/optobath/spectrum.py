@@ -8,9 +8,12 @@ laser-cooling-dominated forms, and the coupling threshold g_c_max beyond
 which the low-frequency damping changes sign.
 
 ohmic_j, j_eff and beta_eff check their arguments once per call, then
-evaluate a private formula that checks nothing. compute_spectrum, after its
-own checks, and the adaptive integrands (QUADPACK samples one float at a
-time) call those formulas directly; a non-finite integral raises QuadratureError.
+evaluate a private formula that checks nothing and takes omega as given (a
+float or an array; the public functions turn a list into an array). j_eff and
+beta_eff share the sideband weight, J(omega) and the flux imbalance, which
+_bath_terms computes once per sample. compute_spectrum, after its own checks,
+and the adaptive integrands (QUADPACK samples one float at a time) call those
+formulas directly; a non-finite integral raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -43,12 +46,19 @@ def _require_bath(p: SystemParams) -> None:
 
 def ohmic_j(omega, p: SystemParams):
     """Ohmic mechanical spectral density gamma_m * omega * exp(-omega/cutoff)."""
-    check_frequency("ohmic_j: omega", omega, allow_zero=True)
-    return _ohmic_j(omega, p)
+    return _ohmic_j(check_frequency("ohmic_j: omega", omega, allow_zero=True), p)
 
 
 def _ohmic_j(omega, p: SystemParams):
-    return p.gamma_m * omega * np.exp(-np.asarray(omega, dtype=float) / p.cutoff)
+    return p.gamma_m * omega * np.exp(-omega / p.cutoff)
+
+
+def _bath_terms(omega, p: SystemParams):
+    """(w, J, J + w (L(omega) - L(-omega))): the sideband weight pi hbar G_c^2, the Ohmic
+    density and the flux imbalance, which _j_eff and _beta_eff share."""
+    w = math.pi * p.sideband_weight
+    j = _ohmic_j(omega, p)
+    return w, j, j + w * lorentzian_asymmetry(omega, p)
 
 
 def j_eff(omega, p: SystemParams):
@@ -59,16 +69,16 @@ def j_eff(omega, p: SystemParams):
     asymmetry supplies the low-frequency support that the bare Ohmic bath,
     gated by the narrow mechanical resonance, lacks.
     """
-    check_frequency("j_eff: omega", omega)
+    omega = check_frequency("j_eff: omega", omega)
     if np.any(_at_pole(chi_q_inv(omega, p))):
         raise PoleError("dressed susceptibility pole inside j_eff")
-    return _j_eff(omega, p)
+    return _j_eff(omega, p, _bath_terms(omega, p))
 
 
-def _j_eff(omega, p: SystemParams):
+def _j_eff(omega, p: SystemParams, terms):
+    """|chi_q|^2 times the flux imbalance of ``terms`` = _bath_terms(omega, p)."""
     mod2 = 1.0 / np.abs(chi_q_inv(omega, p)) ** 2
-    w = math.pi * p.sideband_weight
-    return mod2 * (_ohmic_j(omega, p) + w * lorentzian_asymmetry(omega, p))
+    return mod2 * terms[2]
 
 
 def beta_eff(omega, p: SystemParams):
@@ -83,17 +93,20 @@ def beta_eff(omega, p: SystemParams):
     Negative values (population inversion, blue-detuned drive) are returned
     as data.
     """
-    check_frequency("beta_eff: omega", omega)
+    omega = check_frequency("beta_eff: omega", omega)
     _require_bath(p)
-    return _beta_eff(omega, p)
+    return _beta_eff(omega, p, _bath_terms(omega, p))
 
 
-def _beta_eff(omega, p: SystemParams):
-    w = math.pi * p.sideband_weight
-    j = _ohmic_j(omega, p)
+def _beta_eff(omega, p: SystemParams, terms):
+    """beta_eff's formula from ``terms`` = _bath_terms(omega, p); omega is taken as given.
+
+    The downward flux J n + w L(-omega) underflows below the smallest normal float only
+    for a cold bath; there the cells that underflow take the flux ratio in logs.
+    """
+    w, j, imbalance = terms
     nbar = thermal_occupation(omega, p.beta)
-    imbalance = j + w * lorentzian_asymmetry(omega, p)
-    coupled_down = w * lorentzian(-np.asarray(omega, dtype=float), p)
+    coupled_down = w * lorentzian(-omega, p)
     downward = j * nbar + coupled_down
     underflow = downward < _TINY
     if not underflow.any():
@@ -120,7 +133,7 @@ def detailed_balance_coth(omega, p: SystemParams):
     At w = 0 (g_c = 0) J cancels, which past ~745 cutoffs underflows to 0,
     and the bath's own coth(beta*omega/2) is returned.
     """
-    check_frequency("detailed_balance_coth: omega", omega)
+    omega = check_frequency("detailed_balance_coth: omega", omega)
     _require_bath(p)
     w = math.pi * p.sideband_weight
     om = np.asarray(omega, dtype=float)
@@ -251,7 +264,7 @@ def damping_kernel(t: float, p: SystemParams) -> float:
     if finite_real("t", t) < 0:
         return 0.0
     from ._quad import spectral_integral  # scipy loads only when the kernel is asked for
-    f = lambda w: (2.0 / math.pi) * _j_eff(w, p) / w
+    f = lambda w: (2.0 / math.pi) * _j_eff(w, p, _bath_terms(w, p)) / w
     return spectral_integral(f, p, t=t, kind="cos")
 
 
@@ -303,7 +316,8 @@ def compute_spectrum(p: SystemParams, grid=None) -> BathSpectrum:
     j = np.full_like(grid, np.nan)
     b = np.full_like(grid, np.nan)
     ok = ~pole
-    j[ok] = _j_eff(grid[ok], p)
-    b[ok] = _beta_eff(grid[ok], p)
+    terms = _bath_terms(grid[ok], p)
+    j[ok] = _j_eff(grid[ok], p, terms)
+    b[ok] = _beta_eff(grid[ok], p, terms)
     flags = np.where(pole, FLAG_POLE, np.where(b <= 0, FLAG_NONTHERMAL, FLAG_OK)).tolist()
     return BathSpectrum(grid=grid, j_eff=j, beta_eff=b, flags=flags)

@@ -8,14 +8,12 @@ with the analytic criteria property-tested against it.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _table
-from .params import SQRT3, SystemParams
+from .params import SQRT3, SystemParams, fan_out, usable_cpus
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -257,17 +255,17 @@ def _classify(cells) -> dict:
     ``eigvals`` once. The analytic criteria apply, and are evaluated, only at optimal detuning
     with gamma_m = 0 (elsewhere s1..s3 are NaN and analytic is None); disagree is set where
     they apply and the abscissa is not marginal. The cells are cut into one slice per CPU the
-    process may run on, at most _CELL_BUDGET // workers cells each, and filled in place from a
-    thread pool (``eigvals`` releases the GIL). Where a slice would hold fewer than _MIN_SLICE
-    cells the map runs inline. No cell's result depends on its slice.
+    process may run on, at most _CELL_BUDGET // workers cells each, and filled in place by
+    ``fan_out``: the caller and workers - 1 pool threads take slices in turn (``eigvals``
+    releases the GIL). Where a slice would hold fewer than _MIN_SLICE cells the map runs
+    inline. No cell's result depends on its slice.
     """
     (n,) = np.broadcast_shapes(*(np.shape(value) for value in cells.values()))
     cells = {name: np.broadcast_to(value, n) for name, value in cells.items()}
     out = {name: np.full(n, fill, kind) for name, kind, fill in zip(
         ("s1", "s2", "s3", "abscissa", "analytic", "eigen", "disagree"), "ddddOO?",
         (np.nan, np.nan, np.nan, np.nan, None, None, False))}
-    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+    workers = usable_cpus()
     share = -(-n // workers)
     size = min(max(1, _CELL_BUDGET // workers), share if share >= _MIN_SLICE else n)
 
@@ -287,13 +285,7 @@ def _classify(cells) -> dict:
             eigen = o["eigen"][applies]
             o["disagree"][applies] = (eigen != MARGINAL) & (ok != (eigen == STABLE))
 
-    starts = range(0, n, size)
-    if workers == 1 or len(starts) == 1:
-        for i in starts:
-            fill(i)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, starts))  # reads every slice, re-raising the first error
+    fan_out(fill, range(0, n, size), workers)
     return out
 
 

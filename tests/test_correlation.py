@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -295,8 +297,9 @@ class TestCorrelationSeries:
         assert peak < limit_mib * 2**20
 
     def test_irregular_chunks_fit_cache_sized_budget(self, fig1):
-        # the block route builds one 2^18-entry (4 MiB) table per chunk of
-        # times and frees it before the next chunk's is built
+        # the block route builds one 2^17-entry (2 MiB) table per chunk of
+        # times, at most two chunks at once (at most 2^18 entries in flight),
+        # and frees each before that thread builds its next
         times = np.sort(np.random.default_rng(5).uniform(0.0, 200.0, 300))
         tracemalloc.start()
         try:
@@ -320,6 +323,50 @@ class TestCorrelationSeries:
     def test_empty_times_give_empty_series(self, fig1_cold):
         series = correlation_series(fig1_cold, [])
         assert len(series.times) == len(series.values) == 0
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_core_count_never_changes_a_bit(self, fig1, monkeypatch, pin_cores, pools, cores):
+        # 300 irregular times in 75 chunks of 4 (2^17 // 29952 nodes), against the chunks
+        # in turn on one core; at most two chunks run at once, the caller taking some
+        times = np.sort(np.random.default_rng(5).uniform(0.0, 200.0, 300))
+        pin_cores(1)
+        whole = correlation_series(fig1, times).values
+        pin_cores(cores)
+        threads, doubled = [], correlation._doubled
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return doubled(*args)
+
+        monkeypatch.setattr(correlation, "_doubled", recorded)
+        split = correlation_series(fig1, times).values
+        assert split.tobytes() == whole.tobytes()
+        assert threading.get_ident() in threads and len(set(threads)) <= 2
+        assert pools == ([1] if cores > 1 else [])
+
+    def test_chunk_error_reaches_the_caller(self, fig1, monkeypatch, pin_cores):
+        # the fifth chunk's table fails; its error, not a wrapper, reaches the caller,
+        # and the helper thread has stopped by then
+        pin_cores(2)
+        boom, calls, doubled = RuntimeError("fifth table"), itertools.count(1), correlation._doubled
+
+        def failing(*args):
+            if next(calls) == 5:
+                raise boom
+            return doubled(*args)
+
+        monkeypatch.setattr(correlation, "_doubled", failing)
+        times = np.sort(np.random.default_rng(5).uniform(0.0, 200.0, 300))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            correlation_series(fig1, times)
+        assert caught.value is boom and threading.active_count() == before
+
+    @pytest.mark.parametrize("times", [[], [0.1, 0.5, 2.0]], ids=["empty", "one_chunk"])
+    def test_fewer_than_two_chunks_make_no_pool(self, fig1, pin_cores, pools, times):
+        pin_cores(2)
+        assert len(correlation_series(fig1, times).values) == len(times)
+        assert pools == []
 
 
 class TestGaussFrequencyGrid:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -17,6 +19,7 @@ from optobath import (
     steady_state_amplitude,
     thermal_occupation,
 )
+from optobath.params import fan_out
 
 
 class TestSystemParams:
@@ -157,3 +160,24 @@ class TestOptimalDetuning:
 def test_thermal_occupation_bose_form():
     assert thermal_occupation(1.0, math.log(2.0)) == pytest.approx(1.0, rel=1e-12)
     assert thermal_occupation(1.0, 1e-4) == pytest.approx(1e4, rel=1e-3)
+
+
+def test_fan_out_takes_each_start_once(pools):
+    # 8 workers on any host, with the interpreter switching threads every microsecond:
+    # a start taken twice or lost shows in the tally, and a hang fails the join
+    taken, starts = [], range(0, 4000, 2)
+
+    def fill(start):
+        taken.append((start, threading.get_ident()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=fan_out, args=(fill, starts, 8))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and pools == [7]
+    assert sorted(start for start, _ in taken) == list(starts)
+    assert runner.ident in {thread for _, thread in taken}

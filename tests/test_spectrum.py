@@ -27,6 +27,10 @@ from optobath import (
     j_eff,
     ohmic_j,
 )
+from optobath import spectrum
+from optobath.correlation import _representation_integrands
+from optobath.params import thermal_occupation
+from optobath.validate import fig1_bare, fig1_cooled
 
 SQRT3 = math.sqrt(3.0)
 
@@ -429,3 +433,38 @@ class TestBathSpectrumObject:
     def test_rejects_non_finite_grid(self, fig1, grid):
         with pytest.raises(ValueError, match="finite"):
             compute_spectrum(fig1, grid)
+
+
+BATH_POINTS = {"fig1_cooled": fig1_cooled, "fig1_bare": fig1_bare,
+               "gamma_m_0": lambda: replace(fig1_cooled(), gamma_m=0.0),
+               "cold_bare": lambda: replace(fig1_bare(), beta=1e3)}
+
+
+@pytest.mark.parametrize("point", BATH_POINTS)
+def test_shared_bath_terms_keep_every_bit(point):
+    # the representation integrand and compute_spectrum compute J, the sideband weight and
+    # the flux imbalance once for j_eff and beta_eff; each value keeps the bits of the
+    # public functions, on floats (as QUADPACK passes them) and on arrays
+    p = BATH_POINTS[point]()
+    omega = 10 ** np.random.default_rng(2).uniform(-4.0, 3.0, 200)
+    if point == "cold_bare":  # at g_c = 0 the downward flux is J n, past 709 cutoffs 0
+        assert (ohmic_j(omega, p) * thermal_occupation(omega, p.beta) < np.finfo(float).tiny).any()
+    f_cos, _ = _representation_integrands(p)
+    with np.errstate(over="ignore"):  # expm1(omega beta_eff) past 709: coth is 1
+        for w in [*omega.tolist(), omega]:
+            direct = j_eff(w, p) * (1.0 + 2.0 / np.expm1(w * beta_eff(w, p))) / math.pi
+            assert np.asarray(f_cos(w)).tobytes() == np.asarray(direct).tobytes()
+    grid = np.sort(omega)
+    spec = compute_spectrum(p, grid)
+    assert spec.j_eff.tobytes() == j_eff(grid, p).tobytes()
+    assert spec.beta_eff.tobytes() == beta_eff(grid, p).tobytes()
+
+
+@pytest.mark.parametrize("name", ["ohmic_j", "j_eff", "beta_eff"])
+def test_bath_functions_take_lists_ints_and_0d_arrays(fig1, name):
+    # a list is an array, an int a float, and a 0-d array a 1-d array's entry, bit for bit
+    f = getattr(spectrum, name)
+    listed = f([0.5, 2], fig1)
+    assert type(listed) is np.ndarray and listed.tobytes() == f(np.array([0.5, 2.0]), fig1).tobytes()
+    for value, same in ((f(2, fig1), f(2.0, fig1)), (f(np.asarray(2.0), fig1), f(np.array([2.0]), fig1)[0])):
+        assert type(value) is np.float64 and value.tobytes() == same.tobytes()

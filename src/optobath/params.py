@@ -66,12 +66,12 @@ def check_fields(record, *, positive=(), nonneg=()) -> None:
 
 
 def check_frequency(name: str, omega, *, allow_zero: bool = False):
-    """``omega``, a list or tuple as an array, if every entry is finite and > 0 (>= 0 with
-    allow_zero); else ValueError. A number or an array comes back as given, keeping its bits."""
+    """``omega``, a list or tuple as a float array, if every entry is finite and > 0 (>= 0
+    with allow_zero); else ValueError. A number or an array comes back as given, keeping its bits."""
     w = np.asarray(omega)
     if not (((w >= 0) if allow_zero else (w > 0)) & (w < math.inf)).all():
         raise ValueError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0")
-    return w if isinstance(omega, (list, tuple)) else omega
+    return w.astype(float) if isinstance(omega, (list, tuple)) else omega
 
 
 def usable_cpus() -> int:

@@ -462,9 +462,10 @@ def test_shared_bath_terms_keep_every_bit(point):
 
 @pytest.mark.parametrize("name", ["ohmic_j", "j_eff", "beta_eff"])
 def test_bath_functions_take_lists_ints_and_0d_arrays(fig1, name):
-    # a list is an array, an int a float, and a 0-d array a 1-d array's entry, bit for bit
+    # a list of ints is a float array, an int a float, and a 0-d array a 1-d array's entry, bit
+    # for bit
     f = getattr(spectrum, name)
-    listed = f([0.5, 2], fig1)
-    assert type(listed) is np.ndarray and listed.tobytes() == f(np.array([0.5, 2.0]), fig1).tobytes()
+    listed = f([1, 2], fig1)
+    assert type(listed) is np.ndarray and listed.tobytes() == f(np.array([1.0, 2.0]), fig1).tobytes()
     for value, same in ((f(2, fig1), f(2.0, fig1)), (f(np.asarray(2.0), fig1), f(np.array([2.0]), fig1)[0])):
         assert type(value) is np.float64 and value.tobytes() == same.tobytes()
